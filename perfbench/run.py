@@ -14,24 +14,34 @@ then runs each workload in its own process:
   replay    proxy::collect_traces, then proxy::replay_traces for the
             worker and the shared pool architecture, threads=3
 
+A run measures six populations, each generated from its own seed
+(seed * 6 + k), one rep of each per round, round after round: six small
+populations average out how much work a single seed's sites happen to
+need, and short reps give every population dozens of samples per run.
+
 --trace 0 measures the untraced entry points and prints the end-to-end
 metrics; --trace 1 adds traced passes that time every layer's public
 functions from outside and prints the per-layer metrics and the ledger
-ranked by self time. Every run checks the workload's deterministic
+ranked by self time. Every run checks each population's deterministic
 document (conservation identities, repeatability, the digest recorded for
-the seed, the traced pass reproducing the untraced bytes), first reruns a
-tiny reference population whose digest is recorded, and prints, as its
-last line, one JSON object: correct, attempted, failed and metrics. A full
-record with provenance (host, compiler, build type, git rev) is appended
-to .bench_build/results.jsonl.
+the seed, the traced pass reproducing the untraced bytes) and the study's
+Table 1 shares pooled over its populations, first reruns a tiny reference
+run whose digests are recorded, and prints, as its last line, one JSON
+object: correct, attempted, failed and metrics. A full record with
+provenance (host, compiler, build type, git rev) is appended to
+.bench_build/results.jsonl.
 
-Every rep repeats identical work, and on a shared host interference only
-ever slows a rep down, so sites_per_s and cpu_us_per_site come from the
-least disturbed rep (the fastest one, the one with the least CPU). On a
-4-vCPU Xeon VM shared with other tenants, the median rep of identical
-runs spread up to 24% (quartile distance over median), the best rep 7-18%
-over ten seeds. setup_s is the median of its samples, which are spread
-over the whole run.
+On a shared host the speed of the machine drifts by a third over minutes
+as other tenants come and go, which no statistic over one run's reps can
+remove. So a fixed calibration kernel (workload.cpp) runs before every
+rep, and the timed metrics are reported at the kernel's reference speed:
+sites_per_s, cpu_us_per_site and setup_s divide each rep's (and set-up's)
+time by the kernel's time next to it, take medians, and multiply by
+CALIBRATION_REFERENCE_S. A change to the library moves them; a slower or
+faster moment of the host does not. On a 4-vCPU Xeon VM whose raw
+per-site CPU time drifted 26% (quartile distance over median) across ten
+seeds, the calibrated one spread 7%. The record file keeps the raw times
+as well.
 """
 
 import argparse
@@ -53,17 +63,22 @@ BUILD_TYPE = "RelWithDebInfo"
 REFUSED_BUILD_TYPES = ("", "Debug")
 # A workload process that takes longer than this is killed and failed.
 RUN_TIMEOUT_S = 170
-# The study's Table 1 shares may drift at most this far (mean |delta| in
-# percentage points) from the paper before a run counts as incorrect, on
-# any seed. The seed state measures 3.2-6.3 pp over seeds 1-20 at the
-# benchmark's population; recorded digests pin the exact bytes.
+# The study's Table 1 shares, pooled over a run's populations, may drift at
+# most this far (mean |delta| in percentage points) from the paper before
+# a run counts as incorrect, on any seed. The library measures 2.9-5.3 pp
+# over run seeds 1-20 at the benchmark's populations; recorded digests pin
+# the exact bytes.
 TABLE1_LIMIT_PP = 8.0
 
-# Every run first reruns this tiny population and compares its digest
-# with the recorded one, so a run checks the program's output against a
+# Every run first reruns these tiny populations and compares their digests
+# with the recorded ones, so a run checks the program's output against a
 # known reference whatever seed it measures.
 CANARY_SEED = 42
 CANARY_SCALE = 0.05
+
+# CPU seconds the calibration kernel (workload.cpp) is taken to need at the
+# reference speed; timed metrics are reported at that speed.
+CALIBRATION_REFERENCE_S = 0.010
 
 # Every metric run.py can produce, with its unit. BENCHMARK.json picks the
 # ones a run reports; the rest go to the human table and the record file.
@@ -278,8 +293,36 @@ def table1_checks(doc):
     ]
 
 
-def table1_delta_pp(doc):
-    checks = table1_checks(doc)
+TABLE1_REPORTS = ("har_endless", "har_immediate", "alexa_exact",
+                  "nofetch_exact")
+TABLE1_FIELDS = ("h2_sites", "redundant_sites", "redundant_connections",
+                 "total_connections")
+TABLE1_CAUSES = ("IP", "CRED", "CERT")
+
+
+def pooled_study(docs):
+    """The study documents of a run's populations as one: the report
+    counts Table 1 reads, summed."""
+    reports = {}
+    for name in TABLE1_REPORTS:
+        pooled = {field: 0 for field in TABLE1_FIELDS}
+        pooled["causes"] = {cause: {"sites": 0, "connections": 0}
+                            for cause in TABLE1_CAUSES}
+        for doc in docs:
+            report = doc["reports"][name]
+            for field in TABLE1_FIELDS:
+                pooled[field] += report[field]
+            for cause in TABLE1_CAUSES:
+                for field in ("sites", "connections"):
+                    pooled["causes"][cause][field] += \
+                        report["causes"][cause][field]
+        reports[name] = pooled
+    return {"reports": reports}
+
+
+def table1_delta_pp(docs):
+    """Mean |ours - paper| over the 16 Table 1 shares of the pooled run."""
+    checks = table1_checks(pooled_study(docs))
     return sum(abs(ours - paper) for paper, ours in checks) / len(checks)
 
 
@@ -288,8 +331,8 @@ def fetch_identity(name, failures, problems):
         problems.append("%s: fetch_attempts != successful + failed" % name)
 
 
-def check_study(doc, raw, problems):
-    pops = raw["population"]
+def check_study(doc, pop, problems):
+    pops = pop["population"]
     summaries = doc["summaries"]
     reports = doc["reports"]
     for name in ("alexa", "nofetch", "har"):
@@ -308,18 +351,14 @@ def check_study(doc, raw, problems):
         if reports[report]["analyzed_sites"] != \
                 summaries[campaign]["sites_visited"]:
             problems.append("%s: analyzed_sites != sites visited" % report)
-    delta = table1_delta_pp(doc)
-    if delta > TABLE1_LIMIT_PP:
-        problems.append("Table 1 drifted %.2f pp from the paper (limit %.1f)"
-                        % (delta, TABLE1_LIMIT_PP))
 
 
-def check_optimize(doc, raw, problems):
-    pops = raw["population"]
+def check_optimize(doc, pop, problems):
+    pops = pop["population"]
     s = doc["summary"]
     if s["sites_visited"] + s["sites_unreachable"] != pops["optimize"]:
         problems.append("optimize: visited + unreachable != population")
-    fetch_identity("optimize", raw["fetch"]["optimize"], problems)
+    fetch_identity("optimize", pop["fetch"]["optimize"], problems)
     ranking = doc["ranking"]
     if len(ranking) != 16:
         problems.append("optimize: %d policy points, expected 16"
@@ -333,8 +372,8 @@ def check_optimize(doc, raw, problems):
         problems.append("optimize: recovered + remaining > connections")
 
 
-def check_replay(doc, raw, problems):
-    pops = raw["population"]
+def check_replay(doc, pop, problems):
+    pops = pop["population"]
     for arch in ("worker", "shared"):
         r = doc[arch]
         if r["served"] != r["reuse_hits"] + r["fresh_connects"]:
@@ -354,24 +393,36 @@ CHECKERS = {"study": check_study, "optimize": check_optimize,
             "replay": check_replay}
 
 
-def check_document(workload, scale, seed, doc_path, raw, problems):
-    """Checks one deterministic document; returns (sha256, parsed doc)."""
-    digest = sha256_file(doc_path)
-    with open(doc_path, encoding="utf-8") as handle:
+def doc_path(out_dir, k, traced=False):
+    """Population k's document, as perfbench_workload writes it."""
+    return os.path.join(out_dir, "%s-%d.json" % (
+        "doc-traced" if traced else "doc", k))
+
+
+def check_document(workload, scale, seed, k, out_dir, pop, problems):
+    """Checks population k's deterministic document; returns (sha256,
+    parsed doc)."""
+    path = doc_path(out_dir, k)
+    digest = sha256_file(path)
+    with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
         except ValueError as error:
-            problems.append("document is not JSON: %s" % error)
+            problems.append("population %d: document is not JSON: %s"
+                            % (k, error))
             return digest, None
+    found = []
     try:
-        CHECKERS[workload](doc, raw, problems)
+        CHECKERS[workload](doc, pop, found)
     except (KeyError, TypeError, ZeroDivisionError) as error:
-        problems.append("document is malformed: %r" % error)
+        found.append("document is malformed: %r" % error)
+    problems += ["population %d: %s" % (k, p) for p in found]
     recorded = load_digests().get("%s@%g" % (workload, scale), {})
     entry = recorded.get(str(seed))
-    if entry is not None and entry["sha256"] != digest:
-        problems.append("digest %s differs from the one recorded for %s "
-                        "seed %d" % (digest[:16], entry["role"], seed))
+    if entry is not None and entry["sha256"][k] != digest:
+        problems.append("population %d: digest %s differs from the one "
+                        "recorded for %s seed %d"
+                        % (k, digest[:16], entry["role"], seed))
     return digest, doc
 
 
@@ -388,18 +439,60 @@ def check_ledger(pass_, problems):
 
 # -------------------------------------------------------------- metrics
 
-def end_to_end(raw, doc, failed):
+def least_disturbed(raw, key):
+    """Seconds of `key` ("wall_s" or "cpu_s") one undisturbed round of the
+    run takes: each population's fastest rep, summed."""
+    return sum(min(rep[key] for rep in pop["reps"])
+               for pop in raw["populations"])
+
+
+def calibrated(raw, key):
+    """Seconds of `key` ("wall_s" or "cpu_s") one round of the run takes
+    at the reference speed: each population's median over its reps of the
+    rep's time divided by the calibration kernels' (their wall time for
+    wall_s, their mean CPU for cpu_s), summed, times the kernel's reference
+    time."""
+    kernel = "calibration_wall_s" if key == "wall_s" else "calibration_s"
+    return CALIBRATION_REFERENCE_S * sum(
+        statistics.median(rep[key] / rep[kernel] for rep in pop["reps"])
+        for pop in raw["populations"])
+
+
+def calibrated_setup(raw):
+    """Median set-up time at the reference speed."""
+    return CALIBRATION_REFERENCE_S * statistics.median(
+        sample / rep["calibration_s"]
+        for pop in raw["populations"] for rep in pop["reps"]
+        for sample in rep["setup_s"])
+
+
+def raw_times(raw):
+    """The timed metrics as the host gave them, without calibration: each
+    population's fastest rep, and the kernel's median time."""
     sites = raw["sites"]
-    reps = raw["reps"]
+    return {
+        "sites_per_s": sites / least_disturbed(raw, "wall_s"),
+        "cpu_us_per_site": least_disturbed(raw, "cpu_s") / sites * 1e6,
+        "calibration_s": statistics.median(
+            rep["calibration_s"] for pop in raw["populations"]
+            for rep in pop["reps"]),
+        "calibration_wall_s": statistics.median(
+            rep["calibration_wall_s"] for pop in raw["populations"]
+            for rep in pop["reps"]),
+    }
+
+
+def end_to_end(raw, docs, failed):
+    sites = raw["sites"]
     metrics = {
-        "sites_per_s": max(sites / r["wall_s"] for r in reps),
-        "cpu_us_per_site": min(r["cpu_s"] for r in reps) / sites * 1e6,
+        "sites_per_s": sites / calibrated(raw, "wall_s"),
+        "cpu_us_per_site": calibrated(raw, "cpu_s") / sites * 1e6,
         "peak_rss_mib": raw["peak_rss_kib"] / 1024.0,
-        "setup_s": statistics.median(raw["setup_s"]),
+        "setup_s": calibrated_setup(raw),
         "error_share": 1.0 if failed else 0.0,
     }
-    if raw["workload"] == "study" and doc is not None:
-        metrics["table1_delta_pp"] = table1_delta_pp(doc)
+    if raw["workload"] == "study" and docs and None not in docs:
+        metrics["table1_delta_pp"] = table1_delta_pp(docs)
     return metrics
 
 
@@ -416,9 +509,9 @@ def per_layer(raw):
     queries = counts["dns.queries"]
     har_total = counts["har.total_entries"]
     reuse = counts["pool.reuse_ratio"]
-    # Least-disturbed traced pass against least-disturbed untraced rep.
+    # Least-disturbed traced pass against least-disturbed untraced round.
     overhead_s = (min(p["cpu_s"] for p in raw["passes"]) -
-                  min(r["cpu_s"] for r in raw["reps"]))
+                  least_disturbed(raw, "cpu_s"))
     metrics.update({
         "browser.load.p50_us": pass_["load_p50_ns"] / 1e3,
         "browser.load.p99_us": pass_["load_p99_ns"] / 1e3,
@@ -446,7 +539,13 @@ def per_layer(raw):
         "crawl.workers": raw["crawl_workers"],
         "replay.threads": raw["replay_threads"],
     })
-    crawls = dict(raw["crawls"])
+    # Each population's first untraced rep, summed by campaign.
+    crawls = {}
+    for pop in raw["populations"]:
+        for name, figures in pop["crawls"].items():
+            total = crawls.setdefault(name, dict.fromkeys(figures, 0.0))
+            for key, value in figures.items():
+                total[key] += value
     if "collect" in crawls:
         # collect_traces returns no CrawlSummary: the traced pass read
         # worker CPU and wall on the worker threads instead.
@@ -508,8 +607,8 @@ def select(metrics, declared, units):
 def out_dir_for(workload, seed):
     path = os.path.join(BUILD_DIR, "out", "%s-seed%d" % (workload, seed))
     os.makedirs(path, exist_ok=True)
-    for name in ("doc.json", "doc-traced.json", "spans.tsv"):
-        if os.path.exists(os.path.join(path, name)):
+    for name in os.listdir(path):
+        if name.endswith(".json") or name == "spans.tsv":
             os.remove(os.path.join(path, name))
     return path
 
@@ -535,22 +634,33 @@ def launch(workload, seed, seconds, trace, scale, out_dir):
 
 
 def evaluate(workload, seed, scale, raw, out_dir, trace):
-    """Output checks of one finished workload process."""
+    """Output checks of one finished workload process; returns (digests,
+    docs, problems) with one digest and document per population."""
     problems = []
-    if not raw["reps_identical"]:
-        problems.append("untraced reps produced different documents")
-    digest, doc = check_document(workload, scale, seed,
-                                 os.path.join(out_dir, "doc.json"), raw,
-                                 problems)
+    digests, docs = [], []
+    for k, pop in enumerate(raw["populations"]):
+        if not pop["reps_identical"]:
+            problems.append("population %d: untraced reps produced "
+                            "different documents" % k)
+        digest, doc = check_document(workload, scale, seed, k, out_dir, pop,
+                                     problems)
+        digests.append(digest)
+        docs.append(doc)
+    if workload == "study" and None not in docs:
+        delta = table1_delta_pp(docs)
+        if delta > TABLE1_LIMIT_PP:
+            problems.append("Table 1 drifted %.2f pp from the paper "
+                            "(limit %.1f)" % (delta, TABLE1_LIMIT_PP))
     limit = nproc()
     if raw["crawl_workers"] > limit or raw["replay_threads"] > limit:
         problems.append("thread budget: %d crawl workers, %d replay threads "
                         "on %d processors" % (raw["crawl_workers"],
                                               raw["replay_threads"], limit))
     if trace:
-        traced = sha256_file(os.path.join(out_dir, "doc-traced.json"))
-        if traced != digest:
-            problems.append("traced document digest differs from untraced")
+        for k, digest in enumerate(digests):
+            if sha256_file(doc_path(out_dir, k, traced=True)) != digest:
+                problems.append("population %d: traced document digest "
+                                "differs from untraced" % k)
         for pass_ in raw["passes"]:
             if not pass_["doc_identical"]:
                 problems.append("a traced pass changed the document")
@@ -559,7 +669,7 @@ def evaluate(workload, seed, scale, raw, out_dir, trace):
             check_ledger(pass_, problems)
         if raw["counts"]["probe_mismatches"]:
             problems.append("the NetLog probe disagreed with Browser::load")
-    return digest, doc, problems
+    return digests, docs, problems
 
 
 def reference_check(workload):
@@ -571,10 +681,12 @@ def reference_check(workload):
         return "reference run failed: " + error
     key = "%s@%g" % (workload, CANARY_SCALE)
     recorded = load_digests()[key][str(CANARY_SEED)]["sha256"]
-    digest = sha256_file(os.path.join(out_dir, "doc.json"))
-    if digest != recorded:
-        return "reference population %s seed %d: digest %s, recorded %s" % (
-            key, CANARY_SEED, digest[:16], recorded[:16])
+    for k, expected in enumerate(recorded):
+        digest = sha256_file(doc_path(out_dir, k))
+        if digest != expected:
+            return ("reference population %d of %s seed %d: digest %s, "
+                    "recorded %s" % (k, key, CANARY_SEED, digest[:16],
+                                     expected[:16]))
     return None
 
 
@@ -597,13 +709,13 @@ def score(workload, args, bench, prov, raw, error, out_dir, problems=()):
     if raw is None:
         # The site count is unknown; the one attempt failed.
         problems.append("workload process failed: " + error)
-        digest, doc, attempted = None, None, 1
+        digests, docs, attempted = [], [], 1
     else:
-        digest, doc, found = evaluate(workload, args.seed, scale, raw,
-                                      out_dir, args.trace)
+        digests, docs, found = evaluate(workload, args.seed, scale, raw,
+                                        out_dir, args.trace)
         problems += found
-        attempted = raw["sites"] * (len(raw["reps"]) +
-                                    len(raw.get("passes", [])))
+        attempted = raw["sites"] * len(raw.get("passes", [])) + sum(
+            pop["sites"] * len(pop["reps"]) for pop in raw["populations"])
     failed = attempted if problems else 0
     correct = not problems
 
@@ -611,7 +723,7 @@ def score(workload, args, bench, prov, raw, error, out_dir, problems=()):
     layers = {}
     pass_ = None
     if raw is not None:
-        e2e = end_to_end(raw, doc, failed)
+        e2e = end_to_end(raw, docs, failed)
         if args.trace:
             layers, pass_ = per_layer(raw)
     declared = bench["per_layer"] if args.trace else bench["end_to_end"]
@@ -631,8 +743,11 @@ def score(workload, args, bench, prov, raw, error, out_dir, problems=()):
         (prov["git_rev"] or "unknown")[:12],
         " (dirty)" if prov["git_dirty"] else ""))
     if raw is not None:
-        print("  %d untraced rep(s) of %d sites; document sha256 %s" % (
-            len(raw["reps"]), raw["sites"], digest[:16] if digest else "-"))
+        pops = raw["populations"]
+        print("  %d populations of %d sites in all, %d untraced rounds; "
+              "document sha256 %s" % (
+                  len(pops), raw["sites"], min(len(p["reps"]) for p in pops),
+                  " ".join(d[:8] for d in digests)))
     for name, value in e2e.items():
         print("  %-18s %14.6g %s" % (name, value, END_TO_END_UNITS[name]))
     for problem in problems:
@@ -647,8 +762,9 @@ def score(workload, args, bench, prov, raw, error, out_dir, problems=()):
         "workload": workload, "seed": args.seed, "scale": scale,
         "seconds": args.seconds, "trace": int(args.trace),
         "correct": correct, "attempted": attempted, "failed": failed,
-        "problems": problems, "sha256": digest,
+        "problems": problems, "sha256": digests,
         "end_to_end": e2e, "per_layer": layers,
+        "raw_times": raw_times(raw) if raw is not None else {},
     }
     result = {"correct": correct, "attempted": attempted, "failed": failed,
               "metrics": reported}

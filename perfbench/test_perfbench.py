@@ -4,11 +4,12 @@
     python3 perfbench/test_perfbench.py
 
 Builds the driver like run.py does, then checks that a run emits every
-metric BENCHMARK.json names with its unit, that a tampered document fails
-the output check and raises error_share, that the traced and untraced
-documents agree on every workload, that every ledger closes, and that
-unfit builds, an over-budget thread count and a checkout without the
-library are refused without a result.
+metric BENCHMARK.json names with its unit, that calibrated times do not
+change with the host's speed, that a tampered document fails the output
+check and raises error_share, that the traced and untraced documents agree
+on every workload, that every ledger closes, and that unfit builds, an
+over-budget thread count and a checkout without the library are refused
+without a result.
 """
 
 import argparse
@@ -81,6 +82,22 @@ class Bench(unittest.TestCase):
                     if workload == "study":
                         self.assertRegex(text, r"table1_delta_pp\s+\S+ pp")
 
+    def test_calibrated_times_divide_out_the_host_speed(self):
+        raw, _ = self.launch("optimize", 0)
+        # The same run on a host half as fast: every rep, set-up and
+        # calibration kernel takes twice as long.
+        slow = json.loads(json.dumps(raw))
+        for pop in slow["populations"]:
+            for rep in pop["reps"]:
+                for key in ("wall_s", "cpu_s", "calibration_s",
+                            "calibration_wall_s"):
+                    rep[key] *= 2
+                rep["setup_s"] = [2 * s for s in rep["setup_s"]]
+        fast = run.end_to_end(raw, [], 0)
+        for name in ("sites_per_s", "cpu_us_per_site", "setup_s"):
+            self.assertAlmostEqual(run.end_to_end(slow, [], 0)[name],
+                                   fast[name], delta=1e-9 * fast[name])
+
     def test_every_declared_metric_has_a_source(self):
         for entry in self.bench["end_to_end"]:
             self.assertEqual(run.END_TO_END_UNITS[entry["name"]],
@@ -97,7 +114,7 @@ class Bench(unittest.TestCase):
             raw, out_dir = self.launch(workload, 0)
             clean, _ = self.score(workload, 0, raw, out_dir)
             self.assertTrue(clean["correct"])
-            path = os.path.join(out_dir, "doc.json")
+            path = run.doc_path(out_dir, len(raw["populations"]) - 1)
             with open(path, encoding="utf-8") as f:
                 text = f.read()
             self.assertIn(old, text)
@@ -110,7 +127,7 @@ class Bench(unittest.TestCase):
 
     def test_recorded_digest_catches_a_change_the_identities_miss(self):
         raw, out_dir = self.launch("study", 0)
-        path = os.path.join(out_dir, "doc.json")
+        path = run.doc_path(out_dir, 0)
         with open(path, encoding="utf-8") as f:
             text = f.read()
         # Whitespace the parser ignores: only the digest can notice.
@@ -123,10 +140,12 @@ class Bench(unittest.TestCase):
     def test_traced_and_untraced_digests_agree(self):
         for workload in run.WORKLOADS:
             raw, out_dir = self.launch(workload, 1)
-            untraced = run.sha256_file(os.path.join(out_dir, "doc.json"))
-            traced = run.sha256_file(os.path.join(out_dir,
-                                                  "doc-traced.json"))
-            self.assertEqual(untraced, traced, workload)
+            self.assertGreater(len(raw["populations"]), 1)
+            for k in range(len(raw["populations"])):
+                untraced = run.sha256_file(run.doc_path(out_dir, k))
+                traced = run.sha256_file(run.doc_path(out_dir, k,
+                                                      traced=True))
+                self.assertEqual(untraced, traced, (workload, k))
             for pass_ in raw["passes"]:
                 self.assertTrue(pass_["doc_identical"])
                 self.assertTrue(pass_["metrics_identical"])

@@ -6,13 +6,16 @@
 //                      [--nproc N] --out-dir DIR
 //   perfbench_workload --provenance
 //
-// Untraced reps call the library's public entry points (run_study,
-// run_optimize, collect_traces + replay_traces) back to back until
-// --seconds have passed, writing the workload's deterministic JSON
-// document to DIR/doc.json each time. With --trace 1, one untraced rep is
-// followed by traced passes that drive the same per-site pipeline through
-// the layers' public functions, recording one span per call (ledger.hpp);
-// each pass must reproduce the untraced document byte for byte.
+// A run measures kPopulations independent populations, each generated
+// from its own seed derived from --seed. Untraced reps call the library's
+// public entry points (run_study, run_optimize, collect_traces +
+// replay_traces) on the populations in turn, round after round, until
+// --seconds have passed, writing population k's deterministic JSON
+// document to DIR/doc-k.json each time. With --trace 1, one untraced round
+// is followed by traced passes that drive the same per-site pipeline
+// through the layers' public functions over every population, recording
+// one span per call (ledger.hpp); each pass must reproduce the untraced
+// documents byte for byte.
 #include <sys/resource.h>
 #include <time.h>
 
@@ -74,19 +77,36 @@ struct Args {
   std::string out_dir;
 };
 
-/// Population sizes at scale 1. The study keeps the library's default
-/// shape (HAR sites : Alexa sites : HAR first rank = 8 : 3 : 2).
-/// Half the library's default study population: a rep then takes about a
-/// second, so a run holds enough reps for its fastest one to have run
-/// undisturbed on a shared host.
-constexpr double kStudyHar = 4000;
-constexpr double kStudyAlexa = 1500;
-constexpr double kStudyHarFirst = 1000;
-constexpr double kOptimizeSites = 1500;
-constexpr double kReplaySites = 1500;
+/// A run's populations. Together they hold as many sites as one
+/// population of six times the size, so their mean cost per site varies
+/// little from seed to seed; each alone is small enough that one rep
+/// takes 0.1-0.2 s, so every population gets dozens of reps, each timed
+/// next to its own calibration, spread over the whole run.
+constexpr std::size_t kPopulations = 6;
+/// Sizes of one population at scale 1. The study keeps the library's
+/// default shape (HAR sites : Alexa sites : HAR first rank = 8 : 3 : 2).
+constexpr double kStudyHar = 640;
+constexpr double kStudyAlexa = 240;
+constexpr double kStudyHarFirst = 160;
+constexpr double kOptimizeSites = 250;
+constexpr double kReplaySites = 250;
 constexpr unsigned kReplayThreads = 3;
 /// Timed set-ups before each untraced rep.
-constexpr std::size_t kSetupsPerRep = 10;
+constexpr std::size_t kSetupsPerRep = 3;
+
+/// The run's populations: copies of `args` whose seeds are
+/// seed * kPopulations + k, so distinct run seeds never share one.
+std::vector<Args> populations(const Args& args) {
+  std::vector<Args> out(kPopulations, args);
+  for (std::size_t k = 0; k < kPopulations; ++k) {
+    out[k].seed = args.seed * kPopulations + k;
+  }
+  return out;
+}
+
+std::string doc_path(const Args& args, const char* stem, std::size_t k) {
+  return args.out_dir + "/" + stem + "-" + std::to_string(k) + ".json";
+}
 
 std::size_t scaled(double base, double scale) {
   return std::max<std::size_t>(1, static_cast<std::size_t>(base * scale + 0.5));
@@ -176,6 +196,69 @@ double cpu_seconds() {
 
 double wall_seconds() {
   return static_cast<double>(perfbench::now_ns()) / 1e9;
+}
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+/// A fixed piece of work that never changes with the library: building
+/// and probing an ordered map of 8192 host-name strings, about 10 ms of
+/// CPU. Returns the kernel's thread CPU seconds.
+double calibration_kernel() {
+  const double t0 = thread_cpu_seconds();
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  auto next = [&x]() {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::vector<std::string> keys;
+  keys.reserve(1 << 13);
+  for (std::size_t i = 0; i < (1 << 13); ++i) {
+    keys.push_back("host-" + std::to_string(next() % 1000003) + ".example");
+  }
+  std::map<std::string, std::uint64_t> table;
+  for (std::size_t i = 0; i < keys.size(); ++i) table[keys[i]] += i;
+  std::uint64_t sum = 0;
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto it = table.find(keys[next() % keys.size()]);
+      if (it != table.end()) sum += it->second;
+    }
+  }
+  volatile std::uint64_t keep = sum;
+  (void)keep;
+  return thread_cpu_seconds() - t0;
+}
+
+struct Calibration {
+  double cpu_s = 0;   // mean thread CPU of one kernel
+  double wall_s = 0;  // until the last kernel finished
+};
+
+/// Runs the calibration kernel on `threads` threads at once, as many as
+/// the workload keeps busy. Run before every rep, it measures how fast the
+/// host is at that moment — per thread, and in parallel — so run.py can
+/// divide the host's speed out of the rep's times.
+Calibration calibrate(unsigned threads) {
+  std::vector<double> cpu(threads, 0.0);
+  const double wall0 = wall_seconds();
+  std::vector<std::thread> helpers;
+  for (unsigned t = 1; t < threads; ++t) {
+    helpers.emplace_back([&cpu, t]() { cpu[t] = calibration_kernel(); });
+  }
+  cpu[0] = calibration_kernel();
+  for (std::thread& helper : helpers) helper.join();
+  Calibration c;
+  c.wall_s = wall_seconds() - wall0;
+  c.cpu_s = std::accumulate(cpu.begin(), cpu.end(), 0.0) /
+            static_cast<double>(threads);
+  return c;
 }
 
 // ------------------------------------------------------------ documents
@@ -523,15 +606,39 @@ struct PassOutcome {
   std::uint64_t har_total_entries = 0;
   std::uint64_t har_used_entries = 0;
   std::uint64_t requests_served = 0;
-  std::map<std::string, double> reuse_ratio;
+  std::map<std::string, std::uint64_t> fresh_connects;  // by architecture
+  std::map<std::string, std::uint64_t> served;          // by architecture
   std::vector<std::int64_t> site_ns;  // per-site times without spans
   CrawlFigures collect;               // replay's trace collection
+  obs::Metrics merged_metrics;        // every population's snapshot
   double wall_s = 0;
   double cpu_s = 0;
 
   SpanBuffer& new_buffer() {
     buffers.push_back(std::make_unique<SpanBuffer>());
     return *buffers.back();
+  }
+
+  /// Folds one population's traced outcome into this pass.
+  void absorb(PassOutcome part) {
+    for (auto& b : part.buffers) buffers.push_back(std::move(b));
+    counts.add(part.counts);
+    windows += part.windows;
+    har_total_entries += part.har_total_entries;
+    har_used_entries += part.har_used_entries;
+    requests_served += part.requests_served;
+    for (const auto& [arch, n] : part.fresh_connects) fresh_connects[arch] += n;
+    for (const auto& [arch, n] : part.served) served[arch] += n;
+    site_ns.insert(site_ns.end(), part.site_ns.begin(), part.site_ns.end());
+    collect.wall_s += part.collect.wall_s;
+    collect.workers = std::max(collect.workers, part.collect.workers);
+    collect.worker_cpu_s += part.collect.worker_cpu_s;
+    collect.worker_wall_s += part.collect.worker_wall_s;
+    collect.queue_wait_s += part.collect.queue_wait_s;
+    const auto parsed = obs::metrics_from_json(json::parse(part.metrics).value());
+    if (parsed) merged_metrics.merge(parsed.value());
+    wall_s += part.wall_s;
+    cpu_s += part.cpu_s;
   }
 };
 
@@ -991,9 +1098,11 @@ void traced_replay(const Args& args, PassOutcome& out,
   Scope s(spans, perfbench::kOutputWrite);
   json::Object root;
   for (const proxy::ReplayReport& report : reports) {
+    const std::string arch = pool::to_string(report.arch);
     out.requests_served += report.served();
-    out.reuse_ratio[pool::to_string(report.arch)] = report.reuse_rate();
-    root.set(pool::to_string(report.arch), proxy::to_json(report));
+    out.served[arch] += report.served();
+    out.fresh_connects[arch] += report.stats.fresh_connects;
+    root.set(arch, proxy::to_json(report));
   }
   out.doc = write_doc(json::Value{std::move(root)}, doc_path);
 }
@@ -1062,8 +1171,7 @@ json::Value pass_json(const PassOutcome& pass, bool doc_identical,
 }
 
 json::Value counts_json(const PassOutcome& pass) {
-  const auto metrics = obs::metrics_from_json(json::parse(pass.metrics).value());
-  const obs::Metrics m = metrics ? metrics.value() : obs::Metrics{};
+  const obs::Metrics& m = pass.merged_metrics;
   json::Object o;
   auto count = [&](const char* key, std::uint64_t value) {
     o.set(key, static_cast<std::int64_t>(value));
@@ -1081,8 +1189,13 @@ json::Value counts_json(const PassOutcome& pass) {
   count("har.used_entries", pass.har_used_entries);
   count("pool.requests_served", pass.requests_served);
   count("probe_mismatches", pass.counts.probe_mismatches);
-  json::Object reuse;
-  for (const auto& [arch, ratio] : pass.reuse_ratio) reuse.set(arch, ratio);
+  json::Object reuse;  // 1 - fresh connects / served, as reuse_rate()
+  for (const auto& [arch, served] : pass.served) {
+    reuse.set(arch, served == 0 ? 0.0
+                                : 1.0 - static_cast<double>(
+                                            pass.fresh_connects.at(arch)) /
+                                            static_cast<double>(served));
+  }
   o.set("pool.reuse_ratio", json::Value{std::move(reuse)});
   o.set("collect", to_json(pass.collect));
   return json::Value{std::move(o)};
@@ -1100,79 +1213,113 @@ int run(const Args& args) {
         std::to_string(planned) + " crawl threads on " +
         std::to_string(args.nproc) + " processors");
   }
-  const std::string doc_path = args.out_dir + "/doc.json";
-  const std::string traced_path = args.out_dir + "/doc-traced.json";
+  const std::vector<Args> pops = populations(args);
 
   json::Object result;
   result.set("workload", args.workload);
   result.set("seed", static_cast<std::int64_t>(args.seed));
   result.set("scale", args.scale);
-  std::size_t sites = 0;
-  json::Object population;
-  for (const auto& [campaign, count] : campaign_sites(args)) {
-    sites += count;
-    population.set(campaign, static_cast<std::int64_t>(count));
-  }
-  result.set("sites", static_cast<std::int64_t>(sites));
-  result.set("population", json::Value{std::move(population)});
   result.set("planned_threads", static_cast<std::int64_t>(planned));
 
-  // Untraced reps: at least one (three without tracing), then until the
-  // measuring time is used up — its first third when traced passes follow.
-  // A few timed set-ups precede each rep, so set-up samples span the run.
-  json::Array setup;
-  json::Array reps;
-  RepOutcome first;
-  bool reps_identical = true;
+  // Untraced rounds, each one rep of every population: at least one (three
+  // without tracing), then until the measuring time is used up — its first
+  // third when traced passes follow. A few timed set-ups and the
+  // calibration kernel precede each rep, so both sample the whole run.
+  struct PopulationRun {
+    RepOutcome first;
+    json::Array reps;
+    bool reps_identical = true;
+  };
+  std::vector<PopulationRun> runs(pops.size());
   const double start = wall_seconds();
   const double deadline = start + args.seconds;
   const double untraced_deadline =
       args.trace ? start + args.seconds / 3 : deadline;
-  const std::size_t min_reps = args.trace ? 1 : 3;
-  for (std::size_t rep = 0;; ++rep) {
-    time_setup(args, kSetupsPerRep, setup);
-    const double wall0 = wall_seconds();
-    const double cpu0 = cpu_seconds();
-    RepOutcome outcome = run_untraced(args, doc_path);
-    json::Object r;
-    r.set("wall_s", wall_seconds() - wall0);
-    r.set("cpu_s", cpu_seconds() - cpu0);
-    reps.push_back(json::Value{std::move(r)});
-    if (rep == 0) {
-      first = std::move(outcome);
-    } else if (outcome.doc != first.doc || outcome.metrics != first.metrics) {
-      reps_identical = false;
+  const std::size_t min_rounds = args.trace ? 1 : 3;
+  for (std::size_t round = 0;; ++round) {
+    for (std::size_t k = 0; k < pops.size(); ++k) {
+      json::Array setup;
+      time_setup(pops[k], kSetupsPerRep, setup);
+      const Calibration calibration = calibrate(planned);
+      const double wall0 = wall_seconds();
+      const double cpu0 = cpu_seconds();
+      RepOutcome outcome = run_untraced(pops[k], doc_path(args, "doc", k));
+      json::Object r;
+      r.set("wall_s", wall_seconds() - wall0);
+      r.set("cpu_s", cpu_seconds() - cpu0);
+      r.set("calibration_s", calibration.cpu_s);
+      r.set("calibration_wall_s", calibration.wall_s);
+      r.set("setup_s", json::Value{std::move(setup)});
+      PopulationRun& pop_run = runs[k];
+      pop_run.reps.push_back(json::Value{std::move(r)});
+      if (round == 0) {
+        pop_run.first = std::move(outcome);
+      } else if (outcome.doc != pop_run.first.doc ||
+                 outcome.metrics != pop_run.first.metrics) {
+        pop_run.reps_identical = false;
+      }
     }
-    if (rep + 1 >= min_reps && wall_seconds() >= untraced_deadline) break;
+    if (round + 1 >= min_rounds && wall_seconds() >= untraced_deadline) break;
   }
-  result.set("setup_s", json::Value{std::move(setup)});
-  result.set("reps", json::Value{std::move(reps)});
-  result.set("reps_identical", reps_identical);
-  result.set("doc_bytes", static_cast<std::int64_t>(first.doc.size()));
+
+  std::size_t sites = 0;
+  json::Array pop_list;
+  for (std::size_t k = 0; k < pops.size(); ++k) {
+    PopulationRun& pop_run = runs[k];
+    json::Object p;
+    p.set("seed", static_cast<std::int64_t>(pops[k].seed));
+    std::size_t pop_sites = 0;
+    json::Object population;
+    for (const auto& [campaign, count] : campaign_sites(pops[k])) {
+      pop_sites += count;
+      population.set(campaign, static_cast<std::int64_t>(count));
+    }
+    sites += pop_sites;
+    p.set("sites", static_cast<std::int64_t>(pop_sites));
+    p.set("population", json::Value{std::move(population)});
+    p.set("reps", json::Value{std::move(pop_run.reps)});
+    p.set("reps_identical", pop_run.reps_identical);
+    p.set("doc_bytes", static_cast<std::int64_t>(pop_run.first.doc.size()));
+    json::Object crawls;
+    for (const auto& [name, f] : pop_run.first.crawls) {
+      crawls.set(name, to_json(f));
+    }
+    p.set("crawls", json::Value{std::move(crawls)});
+    json::Object fetch;
+    for (const auto& [name, f] : pop_run.first.fetch) fetch.set(name, f);
+    p.set("fetch", json::Value{std::move(fetch)});
+    pop_list.push_back(json::Value{std::move(p)});
+  }
+  result.set("sites", static_cast<std::int64_t>(sites));
+  result.set("populations", json::Value{std::move(pop_list)});
   result.set("peak_rss_kib", static_cast<std::int64_t>(obs::peak_rss_kib()));
-  result.set("crawl_workers", static_cast<std::int64_t>(first.crawl_workers));
-  result.set("replay_threads", static_cast<std::int64_t>(first.replay_threads));
-  json::Object crawls;
-  for (const auto& [name, f] : first.crawls) crawls.set(name, to_json(f));
-  result.set("crawls", json::Value{std::move(crawls)});
-  json::Object fetch;
-  for (const auto& [name, f] : first.fetch) fetch.set(name, f);
-  result.set("fetch", json::Value{std::move(fetch)});
+  result.set("crawl_workers",
+             static_cast<std::int64_t>(runs.front().first.crawl_workers));
+  result.set("replay_threads",
+             static_cast<std::int64_t>(runs.front().first.replay_threads));
 
   if (args.trace) {
-    // Traced passes until the measuring time is used up (at least one).
-    // The ledger comes from the pass with the median wall time; its spans
-    // are written out at the end.
+    // Traced passes over every population until the measuring time is
+    // used up (at least one). The ledger comes from the pass with the
+    // median wall time; its spans are written out at the end.
     std::vector<PassOutcome> passes;
     json::Array pass_json_list;
     for (;;) {
-      PassOutcome pass = run_traced(args, traced_path);
-      const bool doc_identical = pass.doc == first.doc;
-      const bool metrics_identical =
-          first.metrics.empty() || pass.metrics == first.metrics;
+      PassOutcome pass;
+      bool doc_identical = true;
+      bool metrics_identical = true;
+      for (std::size_t k = 0; k < pops.size(); ++k) {
+        PassOutcome part =
+            run_traced(pops[k], doc_path(args, "doc-traced", k));
+        const RepOutcome& first = runs[k].first;
+        doc_identical = doc_identical && part.doc == first.doc;
+        metrics_identical = metrics_identical &&
+                            (first.metrics.empty() ||
+                             part.metrics == first.metrics);
+        pass.absorb(std::move(part));
+      }
       pass_json_list.push_back(
           pass_json(pass, doc_identical, metrics_identical));
-      pass.doc.clear();
       passes.push_back(std::move(pass));
       if (wall_seconds() >= deadline) break;
     }
