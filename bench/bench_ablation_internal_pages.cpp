@@ -43,7 +43,7 @@ int main() {
   util::SimTime now = util::days(1);
   for (std::size_t rank = 0; rank < sites; ++rank, now += util::seconds(45)) {
     if (universe.unreachable(rank)) continue;
-    const web::Website& site = universe.site(rank);
+    const web::Website site = universe.generate_site(rank);
     const auto internal = universe.internal_pages(rank, kInternalPages);
     const browser::VisitResult visit = chrome.visit(site, internal, now);
     if (visit.pages.empty()) continue;

@@ -149,7 +149,7 @@ void BM_PageLoad(benchmark::State& state) {
   dns::RecursiveResolver resolver{dns::standard_vantage_points()[0],
                                   &eco.authority()};
   browser::Browser chrome{eco, resolver, browser::BrowserOptions{}, 5};
-  const web::Website& site = universe.site(1);
+  const web::Website site = universe.generate_site(1);
   util::SimTime now = util::days(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(chrome.load(site, now));

@@ -3,10 +3,9 @@
 //
 // Unlike the table benches this does NOT run the three-campaign study — it
 // measures the crawl layer itself, which is the layer the bounded-memory
-// claim is about: with CrawlOptions::stream every worker regenerates sites
-// through a bounded LRU instead of materializing the whole population, and
-// the per-worker aggregates are histogram-budgeted, so peak memory is
-// independent of the site count.
+// claim is about: every worker regenerates each site on demand instead of
+// holding the population, and the per-worker aggregates are
+// histogram-budgeted, so peak memory is independent of the site count.
 //
 //   bench_scale_sites [--sites N]... [--threads N] [--json <out>]
 //
@@ -19,8 +18,8 @@
 //
 // Timing comes from the crawl's own diagnostic wall clock
 // (CrawlSummary::wall_ms); RSS from obs::peak_rss_kib(). Both are
-// machine-dependent diagnostics — the measured study aggregates stay
-// bit-identical to a materialized run regardless.
+// machine-dependent diagnostics — the measured aggregates stay
+// bit-identical for every thread count regardless.
 
 #include <algorithm>
 #include <cstdio>
@@ -35,6 +34,7 @@
 #include "core/classify.hpp"
 #include "core/report.hpp"
 #include "json/json.hpp"
+#include "obs/observer.hpp"
 #include "obs/process.hpp"
 #include "util/env.hpp"
 #include "util/format.hpp"
@@ -55,8 +55,41 @@ struct ScalePoint {
   std::uint64_t peak_rss_kib = 0;  // process high-water mark AFTER this scale
 };
 
-/// One streaming crawl over ranks [0, sites): fresh universe, per-worker
-/// budgeted aggregators, no journaling. Returns the measured point.
+/// Per-worker budgeted aggregators fed by crawl()'s Observer, merged
+/// after the crawl.
+class ShardedAggregator final : public obs::Observer {
+ public:
+  ShardedAggregator(const asdb::AsDatabase* as_db, std::uint32_t hist_budget)
+      : as_db_(as_db), hist_budget_(hist_budget) {}
+
+  void begin(unsigned workers) override {
+    while (shards_.size() < workers) {
+      shards_.push_back(
+          std::make_unique<core::Aggregator>(as_db_, hist_budget_));
+    }
+  }
+
+  void site(unsigned worker, browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    const auto& obs = site.netlog_observation;
+    shards_[worker]->add_site(
+        obs, core::classify_site(obs, {core::DurationModel::kExact}));
+  }
+
+  core::AggregateReport merged() const {
+    core::AggregateReport report;
+    for (const auto& shard : shards_) report.merge(shard->report());
+    return report;
+  }
+
+ private:
+  const asdb::AsDatabase* as_db_;
+  std::uint32_t hist_budget_;
+  std::vector<std::unique_ptr<core::Aggregator>> shards_;
+};
+
+/// One crawl over ranks [0, sites): fresh universe, per-worker budgeted
+/// aggregators, no journaling. Returns the measured point.
 ScalePoint run_scale(std::size_t sites, unsigned threads,
                      std::uint32_t hist_budget) {
   const std::uint64_t seed = 42;
@@ -68,34 +101,18 @@ ScalePoint run_scale(std::size_t sites, unsigned threads,
   universe_config.tail_rank = std::max<std::size_t>(sites, 2);
   web::SiteUniverse universe{eco, catalog, universe_config};
 
+  ShardedAggregator aggregator{&eco.as_database(), hist_budget};
   browser::CrawlOptions crawl;
   crawl.browser.follow_fetch_credentials = true;
   crawl.browser.vantage_region = "eu";
   crawl.seed = seed + 1;
   crawl.threads = threads;
   crawl.har_path = false;
-  crawl.stream = true;
-
-  const asdb::AsDatabase* as_db = &eco.as_database();
-  std::vector<std::unique_ptr<core::Aggregator>> shards;
-  auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-    while (shards.size() <= worker) {
-      shards.push_back(std::make_unique<core::Aggregator>(as_db, hist_budget));
-    }
-    core::Aggregator* shard = shards[worker].get();
-    return [shard](const browser::SiteResult& site) {
-      if (!site.reachable) return;
-      const auto& obs = site.netlog_observation;
-      shard->add_site(obs,
-                      core::classify_site(obs, {core::DurationModel::kExact}));
-    };
-  };
+  crawl.observer = &aggregator;
 
   const browser::CrawlSummary summary =
-      browser::crawl_range_sharded(universe, 0, sites, crawl, make_sink);
-
-  core::AggregateReport report;
-  for (const auto& shard : shards) report.merge(shard->report());
+      browser::crawl(universe, 0, sites, crawl);
+  const core::AggregateReport report = aggregator.merged();
 
   ScalePoint point;
   point.sites = sites;
@@ -172,7 +189,6 @@ int main(int argc, char** argv) {
     root.set("bench", "scale_sites");
     root.set("threads", static_cast<std::int64_t>(threads));
     root.set("hist_budget", static_cast<std::int64_t>(hist_budget));
-    root.set("stream", true);
     root.set("scales", std::move(scale_points));
     std::ofstream out(json_out);
     if (!out) {

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
   web::SiteUniverse universe{eco, catalog};
-  const web::Website& site = universe.site(rank);
+  const web::Website site = universe.generate_site(rank);
 
   dns::RecursiveResolver resolver{dns::standard_vantage_points()[0],
                                   &eco.authority()};

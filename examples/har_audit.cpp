@@ -41,7 +41,7 @@ std::string demo_har() {
   // "nothing to fix" teaches less.
   browser::PageLoadResult page;
   for (std::size_t rank = 1; rank < 40; ++rank) {
-    page = chrome.load(universe.site(rank), util::days(1));
+    page = chrome.load(universe.generate_site(rank), util::days(1));
     const auto cls = core::classify_site(page.observation,
                                          {core::DurationModel::kEndless});
     if (cls.redundant_connections() >= 3) break;

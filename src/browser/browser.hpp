@@ -238,7 +238,7 @@ class Browser {
   util::SimTime rtt_to(const net::IpAddress& address) const;
 
   /// The server at `address`: the active site's deployment overlay first
-  /// (streaming sites own their cluster), then the shared ecosystem.
+  /// (generated sites own their cluster), then the shared ecosystem.
   const web::Server* server_at(const net::IpAddress& address) const noexcept;
 
   dns::Resolution resolve(PageState& page, const std::string& host,

@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
+#include <exception>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -43,51 +44,26 @@ double thread_cpu_ms() {
   return 0.0;
 }
 
-/// Crawl state for one worker: a browser behind its own resolver.
-struct Worker {
-  explicit Worker(web::SiteUniverse& universe, const CrawlOptions& options,
-                  const dns::ResolverProfile& profile, std::uint64_t seed)
-      : resolver(profile, &universe.ecosystem().authority()),
-        browser(universe.ecosystem(), resolver, options.browser, seed),
-        sites(universe, options.stream ? options.site_cache : 0) {}
-
-  dns::RecursiveResolver resolver;
-  Browser browser;
-  /// Per-worker site lookup: the universe's shared cache first
-  /// (materialized mode), then a local LRU over the pure generator
-  /// (streaming mode). One lookup path for both modes keeps them
-  /// bit-identical by construction.
-  web::SiteCache sites;
-};
-
-/// Cache effectiveness is a function of scheduling (which worker claims
-/// which chunk), so these counters live in the diagnostic domain only.
-void record_cache_diagnostics(const Worker& worker, obs::Metrics* metrics) {
-  if (metrics == nullptr) return;
-  metrics->add_diag("sitegen.cache_shared_hits", worker.sites.shared_hits());
-  metrics->add_diag("sitegen.cache_hits", worker.sites.hits());
-  metrics->add_diag("sitegen.cache_misses", worker.sites.misses());
-  metrics->add_diag("sitegen.cache_evictions", worker.sites.evictions());
-}
-
-/// Loads the site at `rank`. Everything that feeds the observation is
-/// derived from (options.seed, site) and the site's deterministic load
-/// time: the browser's per-page RNG keys on the site URL, the HAR quirk
-/// RNG is re-derived per site, and the resolver cache is flushed so each
-/// site is measured from a cold cache (like a fresh measurement machine).
-/// The result therefore does not depend on which worker runs this, or on
-/// what that worker loaded before — the crawl's determinism contract.
-void process_site(web::SiteUniverse& universe, const CrawlOptions& options,
-                  Worker& worker, std::size_t rank, util::SimTime when,
-                  SiteResult& result) {
+/// Generates and loads the site at `rank`. Everything that feeds the
+/// observation is derived from (options.seed, site) and the site's
+/// deterministic load time: the browser's per-page RNG keys on the site
+/// URL, the HAR quirk RNG is re-derived per site, and the resolver cache
+/// is flushed so each site is measured from a cold cache (like a fresh
+/// measurement machine). The result therefore does not depend on which
+/// worker runs this, or on what that worker loaded before — the crawl's
+/// determinism contract.
+void process_site(const web::SiteUniverse& universe,
+                  const CrawlOptions& options,
+                  dns::RecursiveResolver& resolver, Browser& browser,
+                  std::size_t rank, util::SimTime when, SiteResult& result) {
   result.rank = rank;
   if (universe.unreachable(rank)) {
     result.reachable = false;
     return;
   }
-  const web::Website& site = worker.sites.site(rank);
-  worker.resolver.flush_cache();
-  result.page = worker.browser.load(site, when);
+  const web::Website site = universe.generate_site(rank);
+  resolver.flush_cache();
+  result.page = browser.load(site, when);
   result.reachable = result.page.reachable;
   if (options.har_path) {
     util::Rng quirk_rng{util::hash_seed(
@@ -162,198 +138,40 @@ class WorkQueue {
   std::atomic<std::size_t> next_{0};
 };
 
-unsigned effective_threads(const CrawlOptions& options, std::size_t count) {
-  if (options.threads <= 1 || count == 0) return 1;
-  return std::min<unsigned>(options.threads, static_cast<unsigned>(count));
-}
-
-dns::ResolverProfile vantage_profile(const CrawlOptions& options) {
-  const auto vantage_points = dns::standard_vantage_points();
-  if (options.vantage_index >= vantage_points.size()) {
-    throw std::out_of_range("vantage index");
-  }
-  return vantage_points[options.vantage_index];
-}
-
-/// Runs the parallel crawl core: N workers drain the work queue, account
-/// into per-worker summary shards, and report each finished site to
-/// options.observer (on the worker thread). In chunked mode the queue
-/// runs over options.targets (when set) and per-chunk counters are
-/// accounted separately, reported via Observer::chunk (with the chunk's
-/// absolute rank runs) after the chunk's last site, then folded into the
-/// worker shard. Returns the merged summary, shards folded in worker
-/// order.
-CrawlSummary run_workers(web::SiteUniverse& universe, std::size_t first_rank,
-                         std::size_t count, const CrawlOptions& options,
-                         unsigned threads,
-                         const dns::ResolverProfile& profile) {
-  // Streaming crawls never materialize: workers regenerate sites on
-  // demand through their bounded caches (O(threads * site_cache) resident
-  // sites). Materialized crawls pre-generate the range into the shared
-  // cache, which every worker then reads lock-free.
-  if (!options.stream) universe.materialize(first_rank, count);
-  const std::vector<std::size_t>* targets =
-      options.chunked ? options.targets : nullptr;
-  const std::size_t items = targets != nullptr ? targets->size() : count;
-
-  // Observer setup runs on the coordinating thread, before any worker
-  // exists — shard allocation never races with shard use.
-  obs::Observer* observer = options.observer;
-  std::vector<obs::Metrics*> worker_metrics(threads, nullptr);
-  if (observer != nullptr) {
-    observer->begin(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      worker_metrics[t] = observer->metrics(t);
-    }
-  }
-  const bool chunk_events = options.chunked && observer != nullptr;
-
-  std::vector<CrawlSummary> shards(threads);
-  WorkQueue queue{items, threads};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t]() {
-      const double wall_start = wall_now_ms();
-      const double cpu_start = thread_cpu_ms();
-      CrawlSummary& shard = shards[t];
-      shard.per_worker.resize(1);
-      WorkerCounters& counters = shard.per_worker[0];
-      Worker worker{universe, options, profile, options.seed};
-      obs::Metrics* metrics = worker_metrics[t];
-      if (metrics != nullptr) {
-        worker.resolver.set_metrics(metrics);
-        worker.browser.set_metrics(metrics);
-      }
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      for (;;) {
-        const double claim_start = wall_now_ms();
-        const bool claimed = queue.claim(begin, end);
-        counters.queue_wait_ms += wall_now_ms() - claim_start;
-        if (!claimed) break;
-        ++counters.chunks_claimed;
-        if (metrics != nullptr) metrics->add_diag("crawl.chunks_claimed");
-        ChunkEvent event;
-        event.worker = t;
-        CrawlSummary& chunk = chunk_events ? event.summary : shard;
-        for (std::size_t i = begin; i < end; ++i) {
-          // `rel` keeps the site's original index in [0, count): rank and
-          // load time stay exactly what an uninterrupted crawl would use,
-          // no matter which targets remain.
-          const std::size_t rel = targets != nullptr ? (*targets)[i] : i;
-          SiteResult result;
-          process_site(universe, options, worker, first_rank + rel,
-                       options.start_time +
-                           static_cast<util::SimTime>(rel) *
-                               options.site_interval,
-                       result);
-          account(chunk, counters, result, metrics);
-          if (chunk_events) {
-            const std::size_t rank = first_rank + rel;
-            if (!event.ranges.empty() &&
-                event.ranges.back().first + event.ranges.back().second ==
-                    rank) {
-              ++event.ranges.back().second;
-            } else {
-              event.ranges.emplace_back(rank, 1);
-            }
-          }
-          if (observer != nullptr) observer->site(t, result);
-        }
-        if (chunk_events) {
-          observer->chunk(event);
-          shard.merge(event.summary);
-        }
-      }
-      record_cache_diagnostics(worker, metrics);
-      counters.wall_ms = wall_now_ms() - wall_start;
-      counters.cpu_ms = thread_cpu_ms() - cpu_start;
-    });
-  }
-  for (std::thread& thread : pool) thread.join();
-
-  CrawlSummary summary;
-  for (const CrawlSummary& shard : shards) summary.merge(shard);
-  return summary;
-}
-
-CrawlSummary run_sequential(web::SiteUniverse& universe,
-                            std::size_t first_rank, std::size_t count,
-                            const CrawlOptions& options,
-                            const dns::ResolverProfile& profile) {
-  const double wall_start = wall_now_ms();
-  const double cpu_start = thread_cpu_ms();
-  obs::Observer* observer = options.observer;
-  obs::Metrics* metrics = nullptr;
-  if (observer != nullptr) {
-    observer->begin(1);
-    metrics = observer->metrics(0);
-  }
-  CrawlSummary summary;
-  summary.per_worker.resize(1);
-  WorkerCounters& counters = summary.per_worker[0];
-  counters.chunks_claimed = count > 0 ? 1 : 0;
-  if (metrics != nullptr && count > 0) {
-    metrics->add_diag("crawl.chunks_claimed");
-  }
-  Worker worker{universe, options, profile, options.seed};
-  if (metrics != nullptr) {
-    worker.resolver.set_metrics(metrics);
-    worker.browser.set_metrics(metrics);
-  }
-  util::SimTime now = options.start_time;
-  for (std::size_t i = 0; i < count; ++i, now += options.site_interval) {
-    SiteResult result;
-    process_site(universe, options, worker, first_rank + i, now, result);
-    account(summary, counters, result, metrics);
-    if (observer != nullptr) observer->site(0, result);
-  }
-  record_cache_diagnostics(worker, metrics);
-  counters.wall_ms = wall_now_ms() - wall_start;
-  counters.cpu_ms = thread_cpu_ms() - cpu_start;
-  summary.wall_ms = counters.wall_ms;
-  return summary;
-}
-
-/// Adapter base for the legacy entry points: chains the caller-provided
-/// options.observer (if any) behind a wrapper-specific delivery.
-class CallbackObserver final : public obs::Observer {
+/// crawl_range's observer: parks each finished site by rank and hands
+/// the ready prefix to the sink in rank order. One worker at a time
+/// drains, outside the lock; the others park their site and go back to
+/// crawling.
+class RankOrder final : public obs::Observer {
  public:
-  CallbackObserver(obs::Observer* inner,
-                   std::function<void(unsigned, SiteResult&)> on_site,
-                   std::function<void(unsigned)> on_begin = {},
-                   std::function<void(const ChunkEvent&)> on_chunk = {})
-      : inner_(inner),
-        on_site_(std::move(on_site)),
-        on_begin_(std::move(on_begin)),
-        on_chunk_(std::move(on_chunk)) {}
+  RankOrder(std::size_t first_rank,
+            const std::function<void(const SiteResult&)>& sink)
+      : next_(first_rank), sink_(sink) {}
 
-  void begin(unsigned workers) override {
-    if (inner_ != nullptr) inner_->begin(workers);
-    if (on_begin_) on_begin_(workers);
-  }
-
-  obs::Metrics* metrics(unsigned worker) override {
-    return inner_ != nullptr ? inner_->metrics(worker) : nullptr;
-  }
-
-  void site(unsigned worker, SiteResult& result) override {
-    // Inner first: the callback may move pieces out of the result.
-    if (inner_ != nullptr) inner_->site(worker, result);
-    if (on_site_) on_site_(worker, result);
-  }
-
-  void chunk(const ChunkEvent& event) override {
-    if (inner_ != nullptr) inner_->chunk(event);
-    if (on_chunk_) on_chunk_(event);
+  void site(unsigned /*worker*/, SiteResult& result) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    parked_.emplace(result.rank, std::move(result));
+    if (draining_) return;  // the draining worker will reach this rank
+    draining_ = true;
+    for (auto it = parked_.begin(); it != parked_.end() && it->first == next_;
+         it = parked_.begin()) {
+      const SiteResult ready = std::move(it->second);
+      parked_.erase(it);
+      ++next_;
+      lock.unlock();
+      sink_(ready);  // a throw leaves draining_ set: the crawl is failing
+      lock.lock();
+    }
+    draining_ = false;
   }
 
  private:
-  obs::Observer* inner_;
-  std::function<void(unsigned, SiteResult&)> on_site_;
-  std::function<void(unsigned)> on_begin_;
-  std::function<void(const ChunkEvent&)> on_chunk_;
+  // guards: parked_, next_, draining_
+  std::mutex mutex_;
+  std::map<std::size_t, SiteResult> parked_;
+  std::size_t next_;  // the rank the sink sees next
+  bool draining_ = false;
+  const std::function<void(const SiteResult&)>& sink_;
 };
 
 }  // namespace
@@ -386,132 +204,125 @@ bool CrawlSummary::operator==(const CrawlSummary& other) const {
 
 CrawlSummary crawl(web::SiteUniverse& universe, std::size_t first_rank,
                    std::size_t count, const CrawlOptions& options) {
-  const dns::ResolverProfile profile = vantage_profile(options);
-  const double wall_start = wall_now_ms();
-  CrawlSummary summary;
-  if (options.chunked) {
-    // Deliberately no sequential fast path: one worker thread still pulls
-    // chunked work, so a threads=1 run checkpoints the same way (and the
-    // same contract holds: results are thread-count independent).
-    const std::size_t items =
-        options.targets != nullptr ? options.targets->size() : count;
-    const unsigned threads =
-        items == 0 ? 1u
-                   : std::min<unsigned>(std::max(1u, options.threads),
-                                        static_cast<unsigned>(items));
-    summary = run_workers(universe, first_rank, count, options, threads,
-                          profile);
-  } else {
-    const unsigned threads = effective_threads(options, count);
-    summary =
-        threads <= 1
-            ? run_sequential(universe, first_rank, count, options, profile)
-            : run_workers(universe, first_rank, count, options, threads,
-                          profile);
+  const auto vantage_points = dns::standard_vantage_points();
+  if (options.vantage_index >= vantage_points.size()) {
+    throw std::out_of_range("vantage index");
   }
-  summary.wall_ms = wall_now_ms() - wall_start;
+  const dns::ResolverProfile& profile = vantage_points[options.vantage_index];
+  const double crawl_start = wall_now_ms();
+  const std::vector<std::size_t>* targets = options.targets;
+  const std::size_t items = targets != nullptr ? targets->size() : count;
+  const unsigned threads =
+      items == 0 ? 1u
+                 : std::min<unsigned>(std::max(1u, options.threads),
+                                      static_cast<unsigned>(items));
+
+  // Observer setup runs on the coordinating thread, before any worker
+  // exists — shard allocation never races with shard use.
+  obs::Observer* observer = options.observer;
+  std::vector<obs::Metrics*> worker_metrics(threads, nullptr);
+  if (observer != nullptr) {
+    observer->begin(threads);
+    for (unsigned t = 0; t < threads; ++t) {
+      worker_metrics[t] = observer->metrics(t);
+    }
+  }
+
+  // Each worker drains the work queue behind its own browser and
+  // resolver; a chunk's counters go to Observer::chunk (with its absolute
+  // rank runs), then into the worker's shard. A worker's exception stops
+  // that worker and is rethrown once all have joined.
+  std::vector<CrawlSummary> shards(threads);
+  std::vector<std::exception_ptr> failures(threads);
+  WorkQueue queue{items, threads};
+  auto work = [&](unsigned t) {
+    const double wall_start = wall_now_ms();
+    const double cpu_start = thread_cpu_ms();
+    CrawlSummary& shard = shards[t];
+    shard.per_worker.resize(1);
+    WorkerCounters& counters = shard.per_worker[0];
+    dns::RecursiveResolver resolver{profile,
+                                    &universe.ecosystem().authority()};
+    Browser browser{universe.ecosystem(), resolver, options.browser,
+                    options.seed};
+    obs::Metrics* metrics = worker_metrics[t];
+    if (metrics != nullptr) {
+      resolver.set_metrics(metrics);
+      browser.set_metrics(metrics);
+    }
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    for (;;) {
+      const double claim_start = wall_now_ms();
+      const bool claimed = queue.claim(begin, end);
+      counters.queue_wait_ms += wall_now_ms() - claim_start;
+      if (!claimed) break;
+      ++counters.chunks_claimed;
+      if (metrics != nullptr) metrics->add_diag("crawl.chunks_claimed");
+      ChunkEvent event;
+      event.worker = t;
+      for (std::size_t i = begin; i < end; ++i) {
+        // `rel` keeps the site's original index in [0, count): rank and
+        // load time stay exactly what an uninterrupted crawl would use,
+        // no matter which targets remain.
+        const std::size_t rel = targets != nullptr ? (*targets)[i] : i;
+        const std::size_t rank = first_rank + rel;
+        SiteResult result;
+        process_site(universe, options, resolver, browser, rank,
+                     options.start_time +
+                         static_cast<util::SimTime>(rel) *
+                             options.site_interval,
+                     result);
+        account(event.summary, counters, result, metrics);
+        if (!event.ranges.empty() &&
+            event.ranges.back().first + event.ranges.back().second == rank) {
+          ++event.ranges.back().second;
+        } else {
+          event.ranges.emplace_back(rank, 1);
+        }
+        if (observer != nullptr) observer->site(t, result);
+      }
+      if (observer != nullptr) observer->chunk(event);
+      shard.merge(event.summary);
+    }
+    counters.wall_ms = wall_now_ms() - wall_start;
+    counters.cpu_ms = thread_cpu_ms() - cpu_start;
+  };
+
+  {
+    std::vector<std::jthread> pool;  // joined here, even on a throw
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t]() {
+        try {
+          work(t);
+        } catch (...) {
+          failures[t] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const std::exception_ptr& failure : failures) {
+    if (failure != nullptr) std::rethrow_exception(failure);
+  }
+
+  CrawlSummary summary;
+  for (const CrawlSummary& shard : shards) summary.merge(shard);
+  summary.wall_ms = wall_now_ms() - crawl_start;
   return summary;
 }
 
 CrawlSummary crawl_range(web::SiteUniverse& universe, std::size_t first_rank,
                          std::size_t count, const CrawlOptions& options,
                          const std::function<void(const SiteResult&)>& sink) {
-  const unsigned threads = effective_threads(options, count);
-  if (threads <= 1) {
-    // The sequential path already visits in rank order on this thread.
-    CallbackObserver adapter{
-        options.observer,
-        [&sink](unsigned /*worker*/, SiteResult& result) { sink(result); }};
-    CrawlOptions opts = options;
-    opts.observer = &adapter;
-    opts.chunked = false;
-    return crawl(universe, first_rank, count, opts);
+  if (options.observer != nullptr) {
+    throw std::invalid_argument("crawl_range delivers sites to its sink; "
+                                "observe a crawl through crawl()");
   }
-
-  const double wall_start = wall_now_ms();
-
-  // Reorder buffer: workers complete sites in claim order, the calling
-  // thread drains them to `sink` in rank order as they become ready, and
-  // releases each result right after the sink so peak memory tracks the
-  // reorder gap instead of the whole range.
-  std::vector<SiteResult> results(count);
-  std::vector<char> ready(count, 0);
-  // guards: results, ready (workers fill, the draining loop reads)
-  std::mutex mutex;
-  std::condition_variable cv;
-
-  CallbackObserver adapter{
-      options.observer,
-      [&](unsigned /*worker*/, SiteResult& result) {
-        const std::size_t index = result.rank - first_rank;
-        std::lock_guard<std::mutex> lock(mutex);
-        results[index] = std::move(result);
-        ready[index] = 1;
-        cv.notify_one();
-      }};
+  RankOrder order{first_rank, sink};
   CrawlOptions opts = options;
-  opts.observer = &adapter;
-  opts.chunked = false;
-
-  CrawlSummary summary;
-  std::thread driver([&]() {
-    summary = crawl(universe, first_rank, count, opts);
-  });
-  for (std::size_t i = 0; i < count; ++i) {
-    SiteResult result;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&]() { return ready[i] != 0; });
-      result = std::move(results[i]);
-      results[i] = SiteResult{};
-    }
-    sink(result);
-  }
-  driver.join();
-  summary.wall_ms = wall_now_ms() - wall_start;
-  return summary;
-}
-
-CrawlSummary crawl_range_sharded(
-    web::SiteUniverse& universe, std::size_t first_rank, std::size_t count,
-    const CrawlOptions& options,
-    const std::function<ShardSink(unsigned worker)>& make_shard_sink) {
-  std::vector<ShardSink> sinks;
-  CallbackObserver adapter{
-      options.observer,
-      [&sinks](unsigned worker, SiteResult& result) { sinks[worker](result); },
-      [&sinks, &make_shard_sink](unsigned workers) {
-        sinks.reserve(workers);
-        for (unsigned t = 0; t < workers; ++t) {
-          sinks.push_back(make_shard_sink(t));
-        }
-      }};
-  CrawlOptions opts = options;
-  opts.observer = &adapter;
-  opts.chunked = false;
-  return crawl(universe, first_rank, count, opts);
-}
-
-CrawlSummary crawl_range_checkpointed(
-    web::SiteUniverse& universe, std::size_t first_rank, std::size_t count,
-    const CrawlOptions& options,
-    const std::function<ShardSink(unsigned worker)>& make_shard_sink,
-    const std::vector<std::size_t>& targets, const ChunkSink& chunk_sink) {
-  std::vector<ShardSink> sinks;
-  CallbackObserver adapter{
-      options.observer,
-      [&sinks](unsigned worker, SiteResult& result) { sinks[worker](result); },
-      [&sinks, &make_shard_sink](unsigned workers) {
-        sinks.reserve(workers);
-        for (unsigned t = 0; t < workers; ++t) {
-          sinks.push_back(make_shard_sink(t));
-        }
-      },
-      [&chunk_sink](const ChunkEvent& event) { chunk_sink(event); }};
-  CrawlOptions opts = options;
-  opts.observer = &adapter;
-  opts.chunked = true;
-  opts.targets = &targets;
+  opts.observer = &order;
+  opts.targets = nullptr;  // the sink waits for every rank of the range
   return crawl(universe, first_rank, count, opts);
 }
 

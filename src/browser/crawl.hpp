@@ -1,15 +1,14 @@
-// Crawl driver: visits a rank range of the site universe with one browser
-// and one recursive resolver, producing per-site observations for both
-// measurement paths:
+// Crawl driver: visits a rank range of the site universe, producing
+// per-site observations for both measurement paths:
 //   * the NetLog path (exact lifecycles, the paper's own measurements),
 //   * the HAR path (export with HTTP-Archive-grade noise, import through
 //     the §4.3 filters — the paper's HTTP Archive analysis).
 //
-// Parallel crawls use a chunked atomic work queue with N workers, each
-// behind its own browser and recursive resolver. Every per-site input is
-// derived from (seed, site) alone — per-page RNG, HAR quirk RNG, resolver
-// cache state and the simulated load time — so the observations are
-// independent of which worker loads which site and of the thread count:
+// Every crawl runs one way: N workers pull chunks from an atomic work
+// queue, each behind its own browser and recursive resolver, and each
+// generates its sites on demand from (universe seed, rank). Every
+// per-site input is derived from (seed, site) alone — per-page RNG, HAR
+// quirk RNG, resolver cache state and the simulated load time — so
 // threads = N produces bit-identical results to threads = 1, for any N.
 // The differential tests in tests/crawl_parallel_test.cpp pin exactly
 // this contract.
@@ -42,41 +41,24 @@ struct CrawlOptions {
   bool har_path = false;
   har::ExportQuirks har_quirks;
   std::uint64_t seed = 1234;
-  /// Worker threads for page loads. 1 = fully sequential. With N > 1 the
-  /// sites are materialized sequentially first (generation mutates the
-  /// shared ecosystem), then loaded by N workers pulling chunks from an
-  /// atomic work queue, each worker with its own browser and recursive
-  /// resolver. Each site is measured like a fresh machine (cold resolver
-  /// cache, per-site RNG, deterministic load time), so results are
-  /// IDENTICAL for every thread count; `sink` still runs in rank order on
-  /// the calling thread.
+  /// Crawl worker threads, clamped to the number of sites to visit. Each
+  /// worker pulls chunks from an atomic work queue behind its own browser
+  /// and recursive resolver, and each site is measured like a fresh
+  /// machine (cold resolver cache, per-site RNG, deterministic load
+  /// time), so results are IDENTICAL for every thread count.
   unsigned threads = 1;
   /// The one observation interface of the crawl: per-worker metric
   /// shards, per-site results, chunk checkpoints (see obs::Observer for
   /// the threading contract). Not owned; null = observe nothing.
   obs::Observer* observer = nullptr;
-  /// Chunked mode only: the RELATIVE indices into [0, count) still to
-  /// crawl, sorted ascending (a resumed study passes the complement of
-  /// its journaled ranks). Null = all of [0, count). Each target keeps
-  /// its original index-derived load time, so a resumed crawl reproduces
-  /// the uninterrupted observations bit-for-bit.
+  /// The RELATIVE indices into [0, count) still to crawl, sorted
+  /// ascending (a resumed study passes the complement of its journaled
+  /// ranks). Null = all of [0, count). Each target keeps its original
+  /// index-derived load time, so a resumed crawl reproduces the
+  /// uninterrupted observations bit-for-bit.
   const std::vector<std::size_t>* targets = nullptr;
-  /// Chunked mode (crash-safe studies): always run the worker pool (even
-  /// for threads = 1, so journaling behaves uniformly) and report each
-  /// drained work-queue chunk to Observer::chunk with the chunk's
-  /// absolute rank runs and counters.
-  bool chunked = false;
-  /// Streaming mode: skip the up-front materialization of the rank range
-  /// and let every worker regenerate its sites on demand through a
-  /// bounded per-worker SiteCache — O(threads * site_cache) resident
-  /// sites instead of O(count), which is what makes million-site crawls
-  /// fit in bounded memory. Generation is a pure function of (universe
-  /// seed, rank), so a streaming crawl is bit-identical to a materialized
-  /// one: both run the same generator, streaming merely forgets.
+  /// Ignored: every crawl streams. perfbench/workload.cpp is its last writer.
   bool stream = false;
-  /// Streaming mode: per-worker site-LRU capacity (0 = unbounded). 64
-  /// covers the reorder window of a chunked crawl comfortably.
-  std::size_t site_cache = 64;
 };
 
 struct SiteResult {
@@ -123,8 +105,8 @@ struct CrawlSummary {
   // contract: exclude(eq, codec) -- scheduling diagnostic: which worker
   // claimed which chunk is timing-dependent; merge still concatenates it
   std::vector<WorkerCounters> per_worker;
-  /// Wall time of the whole crawl_range call, including materialization
-  /// and the ordered sink drain. Diagnostics only.
+  /// Wall time of the whole crawl (for crawl_range, including the
+  /// ordered sink drain). Diagnostics only.
   // contract: diagnostic -- real-clock reading, quarantined from the
   // determinism contract (not merged, compared, or checkpointed)
   double wall_ms = 0.0;
@@ -139,48 +121,28 @@ struct CrawlSummary {
 };
 
 /// THE crawl entry point: visits ranks [first_rank, first_rank + count)
-/// (or the subset in options.targets when options.chunked), reporting
-/// every observation channel through options.observer — metric shards
-/// before the workers start, per-site results on the worker threads,
-/// chunk checkpoints in chunked mode. The sink/targets/chunk parameters
-/// the three legacy entry points below took now live on CrawlOptions;
-/// those entry points are thin wrappers over this one.
+/// (or the subset in options.targets), reporting every observation
+/// channel through options.observer — metric shards before the workers
+/// start, per-site results and chunk checkpoints on the worker threads.
 CrawlSummary crawl(web::SiteUniverse& universe, std::size_t first_rank,
                    std::size_t count, const CrawlOptions& options);
 
-/// DEPRECATED wrapper over crawl(): visits ranks in order, invoking
-/// `sink` per site (reachable or not) on the calling thread, in rank
-/// order (a reorder buffer bridges claim order to rank order). New code
-/// should implement obs::Observer and call crawl() — worker-sharded
-/// delivery needs no buffering.
+/// Rank-ordered convenience over crawl(): invokes `sink` for every site
+/// of the range (reachable or not), in rank order, one call at a time (a
+/// reorder buffer bridges claim order to rank order; whichever worker
+/// completes the next rank drains the ready prefix). options.targets is
+/// ignored — the whole range is visited — and options.observer must be
+/// null (std::invalid_argument otherwise). Like crawl(), it throws on the
+/// calling thread: a bad vantage index at once, an exception from the
+/// sink once the workers have stopped.
 CrawlSummary crawl_range(web::SiteUniverse& universe, std::size_t first_rank,
                          std::size_t count, const CrawlOptions& options,
                          const std::function<void(const SiteResult&)>& sink);
 
-/// Per-worker shard consumer: built once per worker by the factory below,
-/// then invoked from that worker's thread for every site it loads (in the
-/// order the worker claims them — NOT rank order).
-using ShardSink = std::function<void(const SiteResult&)>;
-
-/// DEPRECATED wrapper over crawl() (an Observer's begin()/site() hooks
-/// are exactly this factory contract).
-/// Worker-sharded crawl: `make_shard_sink(worker)` is called on the
-/// calling thread for worker ids [0, threads) before the workers start;
-/// each returned sink then consumes that worker's sites concurrently with
-/// the other workers. Callers keep per-worker partial aggregates and
-/// merge them afterwards (AggregateReport::merge / CrawlSummary::merge) —
-/// merging is order-independent, so the result equals a sequential crawl.
-/// Unlike crawl_range, no per-site buffering is needed, and per-site
-/// post-processing (classification, aggregation) runs inside the workers.
-CrawlSummary crawl_range_sharded(
-    web::SiteUniverse& universe, std::size_t first_rank, std::size_t count,
-    const CrawlOptions& options,
-    const std::function<ShardSink(unsigned worker)>& make_shard_sink);
-
-/// One completed work-queue chunk, reported to a ChunkSink on the worker
-/// thread right after the chunk's last site. The checkpoint layer
-/// serializes these into the crash journal: everything append()ed for a
-/// chunk the sink has seen is recoverable after a kill.
+/// One completed work-queue chunk, reported to Observer::chunk on the
+/// worker thread right after the chunk's last site. The campaign runner
+/// serializes these into report windows and the crash journal:
+/// everything committed for a chunk is recoverable after a kill.
 struct ChunkEvent {
   unsigned worker = 0;
   /// Absolute (first_rank, count) runs the chunk covered, in crawl order.
@@ -190,26 +152,6 @@ struct ChunkEvent {
   /// Counters for exactly the chunk's sites.
   CrawlSummary summary;
 };
-
-using ChunkSink = std::function<void(const ChunkEvent&)>;
-
-/// DEPRECATED wrapper over crawl() with options.chunked/targets set and
-/// the sinks bridged onto an Observer.
-/// Checkpointed variant of crawl_range_sharded for crash-safe studies.
-/// `targets` lists the RELATIVE indices (into [0, count)) still to crawl,
-/// sorted ascending — a fresh run passes all of them, a resumed run the
-/// complement of the journaled ranks. Each target keeps its original
-/// index-derived load time, so a resumed crawl reproduces the
-/// uninterrupted observations bit-for-bit. After a worker drains one
-/// work-queue chunk, `chunk_sink` runs on that worker's thread with the
-/// chunk's ranges and counters; the caller journals its chunk-local
-/// aggregates there. Runs the worker pool even for threads = 1 so
-/// chunking (and thus journaling) behaves uniformly.
-CrawlSummary crawl_range_checkpointed(
-    web::SiteUniverse& universe, std::size_t first_rank, std::size_t count,
-    const CrawlOptions& options,
-    const std::function<ShardSink(unsigned worker)>& make_shard_sink,
-    const std::vector<std::size_t>& targets, const ChunkSink& chunk_sink);
 
 /// Renders the per-worker counters of a crawl as a compact multi-line
 /// text block ("worker 0: 812 sites, 5.3k conns, ..."), for tools/h2r and

@@ -79,10 +79,6 @@ struct SiteClassification {
   }
 };
 
-/// Deprecated name from before the policy redesign; new code should spell
-/// out core::Policy (h2r-lint's policy.alias rule flags this alias).
-using ClassifyOptions = Policy;  // h2r-lint: allow(policy.alias) -- alias definition
-
 /// Reusable per-worker classification state: an arena for site-scoped
 /// scratch, a deterministic interner for domains/SANs, and the SoA
 /// ConnectionTable the sweep iterates. prepare() builds the table once

@@ -31,9 +31,8 @@ inline constexpr std::uint8_t kAllPolicyKnobs = 0xF;
 inline constexpr std::size_t kPolicyKnobCount = 4;
 
 struct Policy {
-  /// Connection-lifetime bound (paper §4.2.1). First member so the old
-  /// brace form `{DurationModel::kExact}` keeps compiling through the
-  /// ClassifyOptions alias.
+  /// Connection-lifetime bound (paper §4.2.1). First member, so the
+  /// brace form `{DurationModel::kExact}` names a baseline policy.
   DurationModel duration = DurationModel::kExact;
 
   /// Classify as if measurement had stopped here: connections opened at or

@@ -1,21 +1,14 @@
 #include "experiments/study.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "core/classify.hpp"
-#include "journal/checkpoint.hpp"
+#include "journal/campaign.hpp"
 #include "journal/journal.hpp"
-#include "journal/spill.hpp"
 #include "obs/process.hpp"
 #include "util/env.hpp"
 #include "web/catalog.hpp"
@@ -26,90 +19,19 @@ namespace h2r::experiments {
 
 namespace {
 
-/// The observer each campaign hands to crawl(): bridges the campaign's
-/// per-worker aggregator sinks and (when journaling) its chunk
-/// checkpointer onto the one Observer interface, and owns the campaign's
-/// metric shards. begin()/metrics() run on the campaign thread before
-/// the crawl workers spawn, so sink construction and shard allocation
-/// never race with use.
-class CampaignObserver final : public obs::Observer {
- public:
-  using MakeSink = std::function<browser::ShardSink(unsigned)>;
-
-  CampaignObserver(MakeSink make_sink, browser::ChunkSink chunk_sink,
-                   std::uint32_t hist_budget)
-      : make_sink_(std::move(make_sink)),
-        chunk_sink_(std::move(chunk_sink)) {
-    registry_.set_histogram_budget(hist_budget);
-  }
-
-  void begin(unsigned workers) override {
-    for (unsigned t = static_cast<unsigned>(sinks_.size()); t < workers;
-         ++t) {
-      sinks_.push_back(make_sink_(t));
-      (void)registry_.shard(t);  // materialize before the workers start
-    }
-  }
-
-  obs::Metrics* metrics(unsigned worker) override {
-    return &registry_.shard(worker);
-  }
-
-  void site(unsigned worker, browser::SiteResult& result) override {
-    sinks_[worker](result);
-  }
-
-  void chunk(const browser::ChunkEvent& event) override {
-    if (chunk_sink_) chunk_sink_(event);
-  }
-
-  obs::Metrics merged() const { return registry_.merged(); }
-
- private:
-  MakeSink make_sink_;
-  browser::ChunkSink chunk_sink_;
-  std::vector<browser::ShardSink> sinks_;
-  obs::MetricRegistry registry_;
-};
-
-/// Runs one campaign body, capturing any exception for rethrow on the
-/// calling thread.
-class Campaign {
- public:
-  template <typename Fn>
-  explicit Campaign(Fn&& fn)
-      : thread_([this, fn = std::forward<Fn>(fn)]() mutable {
-          try {
-            fn();
-          } catch (...) {
-            error_ = std::current_exception();
-          }
-        }) {}
-
-  void join() {
-    thread_.join();
-    if (error_ != nullptr) std::rethrow_exception(error_);
-  }
-
- private:
-  std::exception_ptr error_;
-  std::thread thread_;
-};
-
-/// Deterministic digest of the materialized universe: sampled site URLs
+/// Deterministic digest of the universe: sampled site URLs
 /// (plus unreachability markers) pin the seed AND the site generator
 /// version, so a resume against a journal from a different world fails
 /// the fingerprint check instead of silently mixing observations.
-std::uint32_t universe_digest(web::SiteUniverse& universe,
+std::uint32_t universe_digest(const web::SiteUniverse& universe,
                               const StudyConfig& config) {
   std::string sample;
   auto add_rank = [&](std::size_t rank) {
     if (universe.unreachable(rank)) {
       sample += '-';
     } else {
-      // Pure regeneration: the digest must not materialize anything (a
-      // streaming study samples millions of ranks' worth of universe
-      // without holding any of it).
+      // Pure regeneration: a million-site study samples its universe
+      // without holding any of it.
       sample += universe.generate_site(rank).url;
     }
     sample += '\n';
@@ -142,37 +64,18 @@ json::Value config_fingerprint(const StudyConfig& config,
   fp.set("faults", config.faults.signature());
   fp.set("site_deadline_ms", static_cast<std::int64_t>(config.site_deadline));
   // The histogram budget changes serialized report bytes, so resuming a
-  // journal under a different budget would mix sketch resolutions;
-  // `stream` is deliberately absent — streaming and materialized runs
-  // produce identical bytes, so either may resume the other's journal.
+  // journal under a different budget would mix sketch resolutions.
   fp.set("hist_budget", static_cast<std::int64_t>(config.hist_budget));
   fp.set("universe_crc", static_cast<std::int64_t>(universe_crc));
   return json::Value{std::move(fp)};
 }
 
-/// What one campaign recovered from the journal.
-struct RecoveredCampaign {
-  browser::CrawlSummary summary;
-  std::map<std::string, core::AggregateReport> reports;
-  std::uint64_t overlap_sites = 0;
-  std::vector<char> covered;  // per relative index in [0, count)
-  std::uint64_t chunks = 0;
-  std::uint64_t sites = 0;
+/// A campaign spec and where its outputs land in StudyResults.
+struct BoundCampaign {
+  journal::CampaignSpec spec;
+  browser::CrawlSummary* summary = nullptr;
+  std::vector<core::AggregateReport*> reports;  // parallel to spec.reports
 };
-
-/// Rank span one campaign crawls, for validating journaled chunks.
-struct CampaignSpan {
-  std::size_t first_rank = 0;
-  std::size_t count = 0;
-};
-
-bool known_report_name(const std::string& campaign, const std::string& name) {
-  if (campaign == "alexa") {
-    return name == "exact" || name == "endless" || name == "overlap";
-  }
-  if (campaign == "nofetch") return name == "exact";
-  return name == "endless" || name == "immediate" || name == "overlap";
-}
 
 }  // namespace
 
@@ -199,7 +102,6 @@ StudyConfig StudyConfig::from_env() {
       static_cast<util::SimTime>(util::env_u64("H2R_SITE_DEADLINE_MS", 0, 1));
   config.journal_path = util::env_string("H2R_JOURNAL");
   config.resume = util::env_flag("H2R_RESUME");
-  config.stream = util::env_flag("H2R_STREAM");
   config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
       0xFFFFFFFFull));
@@ -212,13 +114,6 @@ StudyResults run_study(const StudyConfig& config) {
   StudyResults results;
   results.config = config;
 
-  // One metrics slot per campaign; each campaign THREAD writes only its
-  // own slot, merged into results.metrics after the joins (commutative,
-  // so the merged snapshot is campaign-order independent).
-  obs::Metrics alexa_metrics;
-  obs::Metrics nofetch_metrics;
-  obs::Metrics har_metrics;
-
   web::Ecosystem eco{config.seed};
   web::ServiceCatalog catalog{eco, config.seed};
   web::UniverseConfig universe_config = web::UniverseConfig::defaults();
@@ -228,552 +123,124 @@ StudyResults run_study(const StudyConfig& config) {
       std::max<std::size_t>(config.har_first_rank + config.har_sites, 2);
   web::SiteUniverse universe{eco, catalog, universe_config};
 
-  // Materialize every rank any campaign will touch before the campaigns
-  // (and their workers) run concurrently against the then-immutable
-  // shared cache — except in streaming mode, where workers regenerate
-  // sites on demand through bounded per-worker caches and the shared
-  // cache stays empty (peak memory independent of the site count).
-  if (!config.stream) {
-    universe.materialize(0, config.alexa_sites);
-    if (config.run_har) {
-      universe.materialize(config.har_first_rank, config.har_sites);
-    }
-  }
-
-  const asdb::AsDatabase* as_db = &eco.as_database();
-
-  std::map<std::string, CampaignSpan> spans;
-  spans["alexa"] = {0, config.alexa_sites};
-  if (config.run_no_fetch) spans["nofetch"] = {0, config.alexa_sites};
-  if (config.run_har) spans["har"] = {config.har_first_rank, config.har_sites};
-
-  // ------------------------------------------- journal recovery / setup
-  std::unique_ptr<journal::JournalWriter> writer;
-  std::map<std::string, RecoveredCampaign> recovered;
-  if (!config.journal_path.empty()) {
-    const json::Value fingerprint =
-        config_fingerprint(config, universe_digest(universe, config));
-    if (config.resume) {
-      auto contents = journal::read_journal(config.journal_path);
-      if (!contents) throw std::runtime_error(contents.error().message);
-      auto header_fp = journal::header_fingerprint(contents->header);
-      if (!header_fp) throw std::runtime_error(header_fp.error().message);
-      if (json::write(*header_fp) != json::write(fingerprint)) {
-        throw std::runtime_error(
-            "journal fingerprint mismatch: journal was written by " +
-            json::write(*header_fp) + " but this config is " +
-            json::write(fingerprint));
-      }
-      for (const json::Value& entry : contents->entries) {
-        auto chunk = journal::chunk_from_json(entry);
-        if (!chunk) {
-          throw std::runtime_error("corrupt journal entry: " +
-                                   chunk.error().message);
-        }
-        const auto span_it = spans.find(chunk->campaign);
-        if (span_it == spans.end()) {
-          throw std::runtime_error("journal entry for unknown campaign '" +
-                                   chunk->campaign + "'");
-        }
-        const CampaignSpan& span = span_it->second;
-        RecoveredCampaign& rec = recovered[chunk->campaign];
-        if (rec.covered.size() != span.count) {
-          rec.covered.assign(span.count, 0);
-        }
-        for (const auto& [first, count] : chunk->ranges) {
-          if (first < span.first_rank ||
-              first + count > span.first_rank + span.count) {
-            throw std::runtime_error(
-                "journal chunk outside the '" + chunk->campaign +
-                "' campaign's rank range");
-          }
-          for (std::size_t rank = first; rank < first + count; ++rank) {
-            char& cell = rec.covered[rank - span.first_rank];
-            if (cell != 0) {
-              throw std::runtime_error("journal chunks overlap: rank " +
-                                       std::to_string(rank) +
-                                       " journaled twice");
-            }
-            cell = 1;
-          }
-        }
-        for (const auto& [name, report] : chunk->reports) {
-          if (!known_report_name(chunk->campaign, name)) {
-            throw std::runtime_error("journal entry with unknown report '" +
-                                     name + "' for campaign '" +
-                                     chunk->campaign + "'");
-          }
-          rec.reports[name].merge(report);
-        }
-        rec.summary.merge(chunk->summary);
-        rec.overlap_sites += chunk->overlap_sites;
-        ++rec.chunks;
-        rec.sites += chunk->site_count();
-      }
-      auto appender = journal::JournalWriter::append_to(config.journal_path,
-                                                        contents->valid_bytes);
-      if (!appender) throw std::runtime_error(appender.error().message);
-      writer = std::move(appender.value());
-    } else {
-      auto created =
-          journal::JournalWriter::create(config.journal_path, fingerprint);
-      if (!created) throw std::runtime_error(created.error().message);
-      writer = std::move(created.value());
-    }
-  }
-
-  /// Remaining relative indices for one campaign (everything when the
-  /// journal recovered nothing for it).
-  auto targets_for = [&](const std::string& name) {
-    const CampaignSpan& span = spans.at(name);
-    const auto it = recovered.find(name);
-    const std::vector<char>* covered =
-        it != recovered.end() ? &it->second.covered : nullptr;
-    std::vector<std::size_t> targets;
-    targets.reserve(span.count);
-    for (std::size_t i = 0; i < span.count; ++i) {
-      if (covered == nullptr || (*covered)[i] == 0) targets.push_back(i);
-    }
-    return targets;
-  };
-
-  // A failed journal append means durability is gone: remember the first
-  // error (workers keep crawling; results stay correct) and rethrow it
-  // after the campaigns join so the run fails loudly.
-  std::mutex journal_error_mutex;  // guards: journal_error
-  std::exception_ptr journal_error;
-  auto journal_chunk = [&](const journal::ChunkCheckpoint& checkpoint) {
-    auto committed = writer->append(journal::to_json(checkpoint));
-    if (!committed) {
-      std::lock_guard<std::mutex> lock(journal_error_mutex);
-      if (journal_error == nullptr) {
-        journal_error = std::make_exception_ptr(std::runtime_error(
-            "journal append failed: " + committed.error().message));
-      }
-    }
-  };
-
-  // Overlap bounds (ranks present in both populations).
+  const core::Policy exact{core::DurationModel::kExact};
+  const core::Policy endless{core::DurationModel::kEndless};
+  const core::Policy immediate{core::DurationModel::kImmediate};
+  // Ranks present in both populations. The paper's overlap tables use
+  // the endless model on both datasets ("HAR Overlap Endless" / "Alexa
+  // Overlap Endless").
   const std::size_t overlap_begin = config.har_first_rank;
-  const std::size_t overlap_end =
-      std::min(config.alexa_sites,
-               config.har_first_rank + config.har_sites);
-  auto in_overlap = [overlap_begin, overlap_end](std::size_t rank) {
-    return rank >= overlap_begin && rank < overlap_end;
-  };
+  const std::size_t overlap_end = std::min(
+      config.alexa_sites, config.har_first_rank + config.har_sites);
 
-  // Each campaign aggregates per crawl worker ("shards") and merges the
-  // partial reports afterwards — AggregateReport::merge is
-  // order-independent, so the merged report is identical to a sequential
-  // single-pass accumulation (tests/crawl_parallel_test.cpp pins this).
-  // In WINDOWED mode (journaling and/or streaming) the shard aggregators
-  // become CHUNK-local: at every work-queue chunk boundary the worker
-  // serializes them into a checkpoint window, commits it to the journal
-  // (when journaling), folds it into the campaign's ReportFold and
-  // resets. The same commutativity makes windowed totals — and recovered
-  // + freshly-crawled chunks — merge to the uninterrupted result, bit
-  // for bit, while bounding per-worker report state to one window.
-  const bool windowed = writer != nullptr || config.stream;
-  std::atomic<std::uint64_t> report_windows{0};
-  std::atomic<std::uint64_t> spilled_total{0};
+  // Alexa-like crawl: the university resolver, NetLog path, Fetch
+  // credentials honored. The other campaigns vary it.
+  browser::CrawlOptions alexa_crawl;
+  alexa_crawl.browser.follow_fetch_credentials = true;
+  alexa_crawl.browser.vantage_region = "eu";
+  alexa_crawl.browser.faults = config.faults;
+  alexa_crawl.browser.site_deadline = config.site_deadline;
+  alexa_crawl.vantage_index = 0;
+  alexa_crawl.seed = config.seed + 1;
+  alexa_crawl.threads = config.threads;
+  alexa_crawl.start_time = util::days(1);
 
-  // Spilling folds only see data through chunk windows; outside windowed
-  // mode they would silently fold nothing and the study would return
-  // empty reports — fail loudly instead.
-  if (!config.spill_dir.empty() && !windowed) {
-    throw std::runtime_error(
-        "spill_dir (H2R_SPILL) requires streaming or journaling mode");
-  }
+  std::vector<BoundCampaign> campaigns;
+  campaigns.reserve(3);
+  BoundCampaign& alexa = campaigns.emplace_back();
+  alexa.spec.name = "alexa";
+  alexa.spec.crawl = alexa_crawl;
+  alexa.spec.count = config.alexa_sites;
+  alexa.spec.reports = {{"exact", exact},
+                        {"endless", endless},
+                        {"overlap", endless, /*overlap_only=*/true}};
+  alexa.spec.overlap_begin = overlap_begin;
+  alexa.spec.overlap_end = overlap_end;
+  alexa.summary = &results.alexa_summary;
+  alexa.reports = {&results.alexa_exact, &results.alexa_endless,
+                   &results.overlap_alexa_endless};
 
-  // One fold per campaign: resident by default, spilling to
-  // <spill_dir>/h2r-spill-<campaign>.spill when a spill dir is set.
-  auto make_fold =
-      [&](const char* campaign) -> std::unique_ptr<journal::ReportFold> {
-    if (config.spill_dir.empty()) {
-      return std::make_unique<journal::ReportFold>();
-    }
-    auto spilling = journal::ReportFold::spilling(
-        config.spill_dir + "/h2r-spill-" + campaign + ".spill");
-    if (!spilling) {
-      throw std::runtime_error("spill fold (" + std::string(campaign) +
-                               "): " + spilling.error().message);
-    }
-    return std::move(*spilling);
-  };
-
-  // A failed spill write, like a failed journal append, is surfaced
-  // after the campaigns join — workers keep crawling meanwhile.
-  std::mutex spill_error_mutex;  // guards: spill_error
-  std::exception_ptr spill_error;
-  auto fold_window = [&](journal::ReportFold& fold,
-                         const journal::ChunkCheckpoint& checkpoint) {
-    auto folded = fold.fold(checkpoint);
-    if (!folded) {
-      std::lock_guard<std::mutex> lock(spill_error_mutex);
-      if (spill_error == nullptr) {
-        spill_error = std::make_exception_ptr(std::runtime_error(
-            "report spill failed: " + folded.error().message));
-      }
-    }
-  };
-
-  // ---------------------------------------------- Alexa-like crawl (EU)
-  auto alexa_campaign = [&]() {
-    struct Shard {
-      core::Aggregator exact;
-      core::Aggregator endless;
-      core::Aggregator overlap;
-      core::ClassifyContext classify;
-      Shard(const asdb::AsDatabase* db, std::uint32_t budget)
-          : exact(db, budget), endless(db, budget), overlap(db, budget) {}
-    };
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::unique_ptr<journal::ReportFold> fold = make_fold("alexa");
-
-    browser::CrawlOptions crawl;
-    crawl.browser.follow_fetch_credentials = true;
-    crawl.browser.vantage_region = "eu";
-    crawl.browser.faults = config.faults;
-    crawl.browser.site_deadline = config.site_deadline;
-    crawl.vantage_index = 0;  // the university resolver
-    crawl.seed = config.seed + 1;
-    crawl.threads = config.threads;
-    crawl.start_time = util::days(1);
-    crawl.har_path = false;
-    crawl.stream = config.stream;
-
-    auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-      while (shards.size() <= worker) {
-        shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget));
-      }
-      Shard* shard = shards[worker].get();
-      return [shard, &in_overlap](const browser::SiteResult& site) {
-        if (!site.reachable) return;
-        const auto& obs = site.netlog_observation;
-        // One table build per site, one sweep per duration model; the
-        // endless classification serves the overlap aggregate too (the
-        // classifier is a pure function, so the third sweep the old
-        // per-call API paid for was always identical).
-        shard->classify.prepare(obs);
-        shard->exact.add_site(
-            obs, shard->classify.classify({core::DurationModel::kExact}));
-        const core::SiteClassification endless =
-            shard->classify.classify({core::DurationModel::kEndless});
-        shard->endless.add_site(obs, endless);
-        if (in_overlap(site.rank)) {
-          // The paper's overlap tables use the endless model on both
-          // datasets ("HAR Overlap Endless" / "Alexa Overlap Endless").
-          shard->overlap.add_site(obs, endless);
-        }
-      };
-    };
-
-    browser::ChunkSink chunk_sink;
-    if (windowed) {
-      chunk_sink = [&](const browser::ChunkEvent& event) {
-        Shard* shard = shards[event.worker].get();
-        journal::ChunkCheckpoint checkpoint;
-        checkpoint.campaign = "alexa";
-        checkpoint.ranges = event.ranges;
-        checkpoint.summary = event.summary;
-        checkpoint.reports.emplace_back("exact", shard->exact.report());
-        checkpoint.reports.emplace_back("endless",
-                                        shard->endless.report());
-        checkpoint.reports.emplace_back("overlap",
-                                        shard->overlap.report());
-        if (writer != nullptr) journal_chunk(checkpoint);
-        fold_window(*fold, checkpoint);
-        shard->exact = core::Aggregator(as_db, config.hist_budget);
-        shard->endless = core::Aggregator(as_db, config.hist_budget);
-        shard->overlap = core::Aggregator(as_db, config.hist_budget);
-      };
-    }
-    CampaignObserver observer{make_sink, std::move(chunk_sink),
-                              config.hist_budget};
-    crawl.observer = &observer;
-    std::vector<std::size_t> targets;
-    if (windowed) {
-      crawl.chunked = true;
-      if (writer != nullptr) {
-        targets = targets_for("alexa");
-        crawl.targets = &targets;
-      }
-    }
-    results.alexa_summary =
-        browser::crawl(universe, 0, config.alexa_sites, crawl);
-    if (windowed) {
-      auto totals = fold->finish();
-      if (!totals) {
-        throw std::runtime_error("fold finish (alexa): " +
-                                 totals.error().message);
-      }
-      results.alexa_exact.merge(totals->reports["exact"]);
-      results.alexa_endless.merge(totals->reports["endless"]);
-      results.overlap_alexa_endless.merge(totals->reports["overlap"]);
-      report_windows.fetch_add(totals->windows, std::memory_order_relaxed);
-      spilled_total.fetch_add(totals->spill_bytes, std::memory_order_relaxed);
-    } else {
-      for (const auto& shard : shards) {
-        results.alexa_exact.merge(shard->exact.report());
-        results.alexa_endless.merge(shard->endless.report());
-        results.overlap_alexa_endless.merge(shard->overlap.report());
-      }
-    }
-    alexa_metrics = observer.merged();
-  };
-
-  // ------------------------------------- Alexa-like crawl, w/o Fetch
-  auto nofetch_campaign = [&]() {
-    struct Shard {
-      core::Aggregator exact;
-      core::ClassifyContext classify;
-      Shard(const asdb::AsDatabase* db, std::uint32_t budget)
-          : exact(db, budget) {}
-    };
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::unique_ptr<journal::ReportFold> fold = make_fold("nofetch");
-
-    browser::CrawlOptions crawl;
-    crawl.browser.follow_fetch_credentials = false;  // patched Chromium
-    crawl.browser.vantage_region = "eu";
-    crawl.browser.faults = config.faults;
-    crawl.browser.site_deadline = config.site_deadline;
-    crawl.vantage_index = 0;
-    crawl.seed = config.seed + 2;
-    crawl.threads = config.threads;
-    // The paper measured the patched run ~days later; different LB slots.
-    crawl.start_time = util::days(4);
-    crawl.har_path = false;
-    crawl.stream = config.stream;
-
-    auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-      while (shards.size() <= worker) {
-        shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget));
-      }
-      Shard* shard = shards[worker].get();
-      return [shard](const browser::SiteResult& site) {
-        if (!site.reachable) return;
-        const auto& obs = site.netlog_observation;
-        shard->classify.prepare(obs);
-        shard->exact.add_site(
-            obs, shard->classify.classify({core::DurationModel::kExact}));
-      };
-    };
-
-    browser::ChunkSink chunk_sink;
-    if (windowed) {
-      chunk_sink = [&](const browser::ChunkEvent& event) {
-        Shard* shard = shards[event.worker].get();
-        journal::ChunkCheckpoint checkpoint;
-        checkpoint.campaign = "nofetch";
-        checkpoint.ranges = event.ranges;
-        checkpoint.summary = event.summary;
-        checkpoint.reports.emplace_back("exact", shard->exact.report());
-        if (writer != nullptr) journal_chunk(checkpoint);
-        fold_window(*fold, checkpoint);
-        shard->exact = core::Aggregator(as_db, config.hist_budget);
-      };
-    }
-    CampaignObserver observer{make_sink, std::move(chunk_sink),
-                              config.hist_budget};
-    crawl.observer = &observer;
-    std::vector<std::size_t> targets;
-    if (windowed) {
-      crawl.chunked = true;
-      if (writer != nullptr) {
-        targets = targets_for("nofetch");
-        crawl.targets = &targets;
-      }
-    }
-    results.nofetch_summary =
-        browser::crawl(universe, 0, config.alexa_sites, crawl);
-    if (windowed) {
-      auto totals = fold->finish();
-      if (!totals) {
-        throw std::runtime_error("fold finish (nofetch): " +
-                                 totals.error().message);
-      }
-      results.nofetch_exact.merge(totals->reports["exact"]);
-      report_windows.fetch_add(totals->windows, std::memory_order_relaxed);
-      spilled_total.fetch_add(totals->spill_bytes, std::memory_order_relaxed);
-    } else {
-      for (const auto& shard : shards) {
-        results.nofetch_exact.merge(shard->exact.report());
-      }
-    }
-    nofetch_metrics = observer.merged();
-  };
-
-  // --------------------------------- HTTP-Archive-like crawl (US, HAR)
-  auto har_campaign = [&]() {
-    struct Shard {
-      core::Aggregator endless;
-      core::Aggregator immediate;
-      core::Aggregator overlap;
-      core::ClassifyContext classify;
-      std::uint64_t overlap_sites = 0;
-      Shard(const asdb::AsDatabase* db, std::uint32_t budget)
-          : endless(db, budget), immediate(db, budget), overlap(db, budget) {}
-    };
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::unique_ptr<journal::ReportFold> fold = make_fold("har");
-
-    browser::CrawlOptions crawl;
-    crawl.browser.follow_fetch_credentials = true;
-    crawl.browser.vantage_region = "us";
-    crawl.browser.faults = config.faults;
-    crawl.browser.site_deadline = config.site_deadline;
-    crawl.vantage_index = 12;  // the US vantage point
-    crawl.seed = config.seed + 3;
-    crawl.threads = config.threads;
-    crawl.start_time = util::days(8);
-    crawl.har_path = true;  // export + filtered re-import
-    crawl.stream = config.stream;
-
-    auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-      while (shards.size() <= worker) {
-        shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget));
-      }
-      Shard* shard = shards[worker].get();
-      return [shard, &in_overlap](const browser::SiteResult& site) {
-        if (!site.reachable) return;
-        const auto& obs = site.har_observation;
-        shard->classify.prepare(obs);
-        const core::SiteClassification endless =
-            shard->classify.classify({core::DurationModel::kEndless});
-        shard->endless.add_site(obs, endless);
-        shard->immediate.add_site(
-            obs, shard->classify.classify({core::DurationModel::kImmediate}));
-        if (in_overlap(site.rank)) {
-          ++shard->overlap_sites;
-          shard->overlap.add_site(obs, endless);
-        }
-      };
-    };
-
-    browser::ChunkSink chunk_sink;
-    if (windowed) {
-      chunk_sink = [&](const browser::ChunkEvent& event) {
-        Shard* shard = shards[event.worker].get();
-        journal::ChunkCheckpoint checkpoint;
-        checkpoint.campaign = "har";
-        checkpoint.ranges = event.ranges;
-        checkpoint.summary = event.summary;
-        checkpoint.reports.emplace_back("endless",
-                                        shard->endless.report());
-        checkpoint.reports.emplace_back("immediate",
-                                        shard->immediate.report());
-        checkpoint.reports.emplace_back("overlap",
-                                        shard->overlap.report());
-        checkpoint.overlap_sites = shard->overlap_sites;
-        if (writer != nullptr) journal_chunk(checkpoint);
-        fold_window(*fold, checkpoint);
-        shard->endless = core::Aggregator(as_db, config.hist_budget);
-        shard->immediate = core::Aggregator(as_db, config.hist_budget);
-        shard->overlap = core::Aggregator(as_db, config.hist_budget);
-        shard->overlap_sites = 0;
-      };
-    }
-    CampaignObserver observer{make_sink, std::move(chunk_sink),
-                              config.hist_budget};
-    crawl.observer = &observer;
-    std::vector<std::size_t> targets;
-    if (windowed) {
-      crawl.chunked = true;
-      if (writer != nullptr) {
-        targets = targets_for("har");
-        crawl.targets = &targets;
-      }
-    }
-    results.har_summary = browser::crawl(universe, config.har_first_rank,
-                                         config.har_sites, crawl);
-    if (windowed) {
-      auto totals = fold->finish();
-      if (!totals) {
-        throw std::runtime_error("fold finish (har): " +
-                                 totals.error().message);
-      }
-      results.har_endless.merge(totals->reports["endless"]);
-      results.har_immediate.merge(totals->reports["immediate"]);
-      results.overlap_har_endless.merge(totals->reports["overlap"]);
-      results.overlap_sites += totals->overlap_sites;
-      report_windows.fetch_add(totals->windows, std::memory_order_relaxed);
-      spilled_total.fetch_add(totals->spill_bytes, std::memory_order_relaxed);
-    } else {
-      for (const auto& shard : shards) {
-        results.har_endless.merge(shard->endless.report());
-        results.har_immediate.merge(shard->immediate.report());
-        results.overlap_har_endless.merge(shard->overlap.report());
-        results.overlap_sites += shard->overlap_sites;
-      }
-    }
-    har_metrics = observer.merged();
-  };
-
-  // The campaigns only read the materialized universe (each crawl worker
-  // brings its own browser, resolver and RNGs), so the independent ones
-  // can overlap: the two Alexa crawls and the HAR crawl run concurrently.
-  std::vector<std::unique_ptr<Campaign>> campaigns;
-  campaigns.push_back(std::make_unique<Campaign>(alexa_campaign));
+  // The same crawl with the Fetch credentials flag ignored (the paper's
+  // patched Chromium), measured days later: different LB slots.
   if (config.run_no_fetch) {
-    campaigns.push_back(std::make_unique<Campaign>(nofetch_campaign));
+    BoundCampaign& nofetch = campaigns.emplace_back();
+    nofetch.spec.name = "nofetch";
+    nofetch.spec.crawl = alexa_crawl;
+    nofetch.spec.crawl.browser.follow_fetch_credentials = false;
+    nofetch.spec.crawl.seed = config.seed + 2;
+    nofetch.spec.crawl.start_time = util::days(4);
+    nofetch.spec.count = config.alexa_sites;
+    nofetch.spec.reports = {{"exact", exact}};
+    nofetch.summary = &results.nofetch_summary;
+    nofetch.reports = {&results.nofetch_exact};
   }
+
+  // HTTP-Archive-like crawl: the US vantage point, HAR export + filtered
+  // re-import.
   if (config.run_har) {
-    campaigns.push_back(std::make_unique<Campaign>(har_campaign));
+    BoundCampaign& har = campaigns.emplace_back();
+    har.spec.name = "har";
+    har.spec.crawl = alexa_crawl;
+    har.spec.crawl.browser.vantage_region = "us";
+    har.spec.crawl.vantage_index = 12;
+    har.spec.crawl.seed = config.seed + 3;
+    har.spec.crawl.start_time = util::days(8);
+    har.spec.crawl.har_path = true;
+    har.spec.first_rank = config.har_first_rank;
+    har.spec.count = config.har_sites;
+    har.spec.source = journal::ObservationSource::kHar;
+    har.spec.reports = {{"endless", endless},
+                        {"immediate", immediate},
+                        {"overlap", endless, /*overlap_only=*/true}};
+    har.spec.overlap_begin = overlap_begin;
+    har.spec.overlap_end = overlap_end;
+    har.spec.count_overlap_sites = true;
+    har.summary = &results.har_summary;
+    har.reports = {&results.har_endless, &results.har_immediate,
+                   &results.overlap_har_endless};
   }
-  std::exception_ptr first_error;
-  for (const auto& campaign : campaigns) {
-    try {
-      campaign->join();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
+
+  journal::CampaignRunOptions run;
+  run.as_db = &eco.as_database();
+  run.hist_budget = config.hist_budget;
+  run.spill_dir = config.spill_dir;
+  run.journal_path = config.journal_path;
+  run.resume = config.resume;
+  if (!config.journal_path.empty()) {
+    run.fingerprint =
+        config_fingerprint(config, universe_digest(universe, config));
+  }
+  std::vector<journal::CampaignSpec> specs;
+  for (const BoundCampaign& campaign : campaigns) {
+    specs.push_back(campaign.spec);
+  }
+  journal::RunOutcome outcome = journal::run_campaigns(universe, specs, run);
+
+  std::uint64_t report_windows = 0;
+  for (std::size_t i = 0; i < campaigns.size(); ++i) {
+    const BoundCampaign& campaign = campaigns[i];
+    journal::CampaignOutcome& out = outcome.campaigns[i];
+    journal::FoldTotals& totals = out.totals;
+    *campaign.summary = std::move(totals.summary);
+    for (std::size_t s = 0; s < campaign.reports.size(); ++s) {
+      campaign.reports[s]->merge(totals.reports[campaign.spec.reports[s].name]);
     }
+    results.overlap_sites += totals.overlap_sites;
+    results.spill_bytes += totals.spill_bytes;
+    report_windows += totals.windows;
+    results.resumed_chunks += out.resumed_chunks;
+    results.resumed_sites += out.resumed_sites;
+    // Commutative, so the snapshot is campaign-order independent.
+    results.metrics.merge(out.metrics);
   }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-  if (journal_error != nullptr) std::rethrow_exception(journal_error);
-  if (spill_error != nullptr) std::rethrow_exception(spill_error);
-  results.spill_bytes = spilled_total.load(std::memory_order_relaxed);
+  results.journal_bytes = outcome.journal_bytes;
+  results.journal_fsyncs = outcome.journal_fsyncs;
 
-  // Fold the journal-recovered shards in. Same commutative merges as the
-  // live shards, so a resumed study lands on the uninterrupted bytes.
-  if (auto it = recovered.find("alexa"); it != recovered.end()) {
-    RecoveredCampaign& rec = it->second;
-    results.alexa_summary.merge(rec.summary);
-    results.alexa_exact.merge(rec.reports["exact"]);
-    results.alexa_endless.merge(rec.reports["endless"]);
-    results.overlap_alexa_endless.merge(rec.reports["overlap"]);
-  }
-  if (auto it = recovered.find("nofetch"); it != recovered.end()) {
-    RecoveredCampaign& rec = it->second;
-    results.nofetch_summary.merge(rec.summary);
-    results.nofetch_exact.merge(rec.reports["exact"]);
-  }
-  if (auto it = recovered.find("har"); it != recovered.end()) {
-    RecoveredCampaign& rec = it->second;
-    results.har_summary.merge(rec.summary);
-    results.har_endless.merge(rec.reports["endless"]);
-    results.har_immediate.merge(rec.reports["immediate"]);
-    results.overlap_har_endless.merge(rec.reports["overlap"]);
-    results.overlap_sites += rec.overlap_sites;
-  }
-  for (const auto& [name, rec] : recovered) {
-    (void)name;
-    results.resumed_chunks += rec.chunks;
-    results.resumed_sites += rec.sites;
-  }
-  if (writer != nullptr) {
-    results.journal_bytes = writer->bytes_written();
-    results.journal_fsyncs = writer->fsync_count();
-  }
-
-  // Merge order is irrelevant (commutative), so the snapshot equals the
-  // one a sequential run of the campaigns would produce.
-  results.metrics.merge(alexa_metrics);
-  results.metrics.merge(nofetch_metrics);
-  results.metrics.merge(har_metrics);
-  // Journal / resume telemetry depends on chunk scheduling and platform
-  // I/O — diagnostic domain only, invisible to the exported snapshot.
-  if (writer != nullptr) {
+  // Journal / resume / spill / window telemetry depends on chunk
+  // scheduling and platform I/O, and so does the process's memory
+  // high-water mark — diagnostic domain only, invisible to the exported
+  // snapshot.
+  if (!config.journal_path.empty()) {
     results.metrics.add_diag("journal.bytes", results.journal_bytes);
     results.metrics.add_diag("journal.fsyncs", results.journal_fsyncs);
   }
@@ -784,13 +251,8 @@ StudyResults run_study(const StudyConfig& config) {
   if (results.spill_bytes > 0) {
     results.metrics.add_diag("study.spill_bytes", results.spill_bytes);
   }
-  // Windowed-mode telemetry: how many per-worker report windows were
-  // folded, and the process's memory high-water mark. Both depend on
-  // chunk scheduling / the platform — diagnostic domain only.
-  if (const std::uint64_t windows =
-          report_windows.load(std::memory_order_relaxed);
-      windows > 0) {
-    results.metrics.add_diag("study.report_windows", windows);
+  if (report_windows > 0) {
+    results.metrics.add_diag("study.report_windows", report_windows);
   }
   if (const std::uint64_t rss = obs::peak_rss_kib(); rss > 0) {
     results.metrics.add_diag("process.peak_rss_kib", rss);
@@ -804,14 +266,10 @@ const StudyResults& shared_study(const StudyConfig& config) {
   static std::map<std::string, std::unique_ptr<StudyResults>> cache;
   // `threads` is deliberately absent: the crawl layer guarantees
   // thread-count-independent results, so runs differing only in
-  // parallelism share one cache slot. The fault signature and watchdog
-  // deadline ARE part of the key — different regimes are different
-  // experiments — and so are the journal knobs, because a journaling
-  // bench must actually pay for its fsyncs instead of hitting the cache.
-  // The histogram budget changes the serialized aggregates, so it is
-  // keyed too; `stream` is not, because streaming runs are bit-identical.
-  // The spill dir is keyed like the journal knobs (a spilling bench must
-  // pay for its spill I/O), even though its results are bit-identical.
+  // parallelism share one cache slot. The fault signature, watchdog
+  // deadline and histogram budget change what is measured; the journal
+  // and spill knobs are keyed so a bench that sets them pays for their
+  // I/O instead of hitting the cache.
   const std::string key = std::to_string(config.har_sites) + "/" +
                           std::to_string(config.alexa_sites) + "/" +
                           std::to_string(config.har_first_rank) + "/" +

@@ -7,8 +7,9 @@
 //   3. the same Alexa crawl with the Fetch credentials flag ignored
 //      (the paper's patched Chromium, "Alexa w/o Fetch").
 //
-// All three run against ONE shared synthetic web universe, so the site
-// intersection (Tables 7-10) is meaningful. Every bench binary calls
+// All three run concurrently, as journal::run_campaigns specs, against ONE
+// shared synthetic web universe, so the site intersection (Tables 7-10)
+// is meaningful. Every bench binary calls
 // run_study() and prints its table from the returned aggregates; scale the
 // populations via H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_SEED.
 #pragma once
@@ -34,10 +35,12 @@ struct StudyConfig {
   /// models the partially-intersecting site sets of the paper (§A.3).
   std::size_t har_first_rank = 2000;
   std::uint64_t seed = 42;
-  /// Worker threads per crawl, forwarded to CrawlOptions::threads.
-  /// Results are identical for every value (the crawl's determinism
-  /// contract); this only changes wall time. `from_env()` reads
-  /// H2R_THREADS and clamps it to std::thread::hardware_concurrency().
+  /// Worker threads per campaign crawl, forwarded to
+  /// CrawlOptions::threads; the campaigns run concurrently, so a study
+  /// runs up to three times this many crawl workers. Results are
+  /// identical for every value (the crawl's determinism contract); this
+  /// only changes wall time. `from_env()` reads H2R_THREADS and clamps it
+  /// to std::thread::hardware_concurrency().
   unsigned threads = 1;
   /// Run the patched (ignore Fetch credentials) Alexa crawl as well.
   bool run_no_fetch = true;
@@ -65,15 +68,7 @@ struct StudyConfig {
   /// this config — thread count aside — or run_study throws.
   /// `from_env()` reads H2R_RESUME (any value but "" / "0").
   bool resume = false;
-  /// Streaming mode: skip the up-front materialization of both site
-  /// populations and regenerate sites on demand through bounded
-  /// per-worker caches (CrawlOptions::stream), folding per-chunk report
-  /// windows as they commit (journal::ReportFold). Peak memory becomes
-  /// O(threads * cache + totals) instead of O(sites) — the only mode
-  /// that fits a 1-10M-site universe. Results are BIT-IDENTICAL to a
-  /// materialized run (generation is a pure function of seed and rank),
-  /// which is why `stream` is absent from the journal fingerprint and
-  /// the shared_study cache key. `from_env()` reads H2R_STREAM.
+  /// Ignored: every study streams. perfbench/workload.cpp is its last writer.
   bool stream = false;
   /// Bin budget for every duration histogram the study aggregates
   /// (reports and metric shards). 0 = exact histograms; N > 0 bounds
@@ -84,18 +79,11 @@ struct StudyConfig {
   /// H2R_HIST_BUDGET.
   std::uint32_t hist_budget = 0;
   /// Directory for ReportFold spill files; empty = resident folds. With
-  /// a directory set, each campaign's per-chunk report windows are
-  /// framed to `<spill_dir>/h2r-spill-<campaign>.spill` as they commit
-  /// and only merged back into totals at the end of the crawl, keeping
-  /// even the campaign totals off the heap while the crawl runs (the
-  /// last resident per-site-scale state in --stream mode). Requires
-  /// windowed mode (stream and/or journaling) — without chunk windows
-  /// there is nothing to spill, and run_study throws rather than
-  /// silently returning empty reports. Totals are BIT-IDENTICAL to
-  /// resident folds (merge commutativity + full-fidelity codec;
-  /// tests/streaming_crawl_test.cpp pins the study-level equivalence),
-  /// so spill_dir is absent from the journal fingerprint and the
-  /// shared_study cache key. `from_env()` reads H2R_SPILL.
+  /// a directory set, each campaign's report windows are framed to
+  /// `<spill_dir>/h2r-spill-<campaign>.spill` and merged only at the end
+  /// of the crawl, keeping even the totals off the heap. Totals are
+  /// BIT-IDENTICAL to resident folds, so spill_dir is absent from the
+  /// journal fingerprint. `from_env()` reads H2R_SPILL.
   std::string spill_dir;
   /// Path to write the study's merged metric snapshot to (pretty JSON,
   /// obs::to_json schema); empty = don't write one. Only DETERMINISTIC
@@ -107,7 +95,7 @@ struct StudyConfig {
 
   /// Reads H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS /
   /// H2R_FAULT_* / H2R_SITE_DEADLINE_MS / H2R_JOURNAL / H2R_RESUME /
-  /// H2R_STREAM / H2R_HIST_BUDGET / H2R_METRICS overrides via
+  /// H2R_HIST_BUDGET / H2R_METRICS / H2R_SPILL overrides via
   /// util/env.hpp. Invalid or non-positive values fall back to the
   /// defaults; H2R_THREADS is clamped to the machine's hardware
   /// concurrency.

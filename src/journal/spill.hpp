@@ -1,6 +1,6 @@
 // Streaming fold of per-chunk report windows.
 //
-// A streaming study never keeps per-site state: each crawl worker
+// A study never keeps per-site state: each crawl worker
 // aggregates a chunk's sites into chunk-local AggregateReports (a
 // "window"), hands the window over at the chunk boundary, and resets.
 // ReportFold is where those windows go: a thread-safe, commutative merge
@@ -9,8 +9,7 @@
 //
 // Two modes share one interface:
 //
-//   * resident (default): windows merge straight into in-memory totals —
-//     the normal streaming path;
+//   * resident (default): windows merge straight into in-memory totals;
 //   * spilling: windows are framed through the journal codec
 //     (checkpoint.hpp + journal.hpp) to a spill file as they arrive and
 //     only merged back at finish(), keeping even the totals off the heap
@@ -33,10 +32,9 @@
 
 namespace h2r::journal {
 
-/// Everything a fold accumulated. `reports` and `overlap_sites` are the
-/// measurement state; `summary` is carried for recovery-style consumers
-/// (the study's live crawl summary already contains these counters, so it
-/// must NOT merge this one in). `windows`/`spill_bytes` are diagnostics.
+/// Everything a fold accumulated. `reports`, `tallies`, `overlap_sites`
+/// and `summary` (the windows' crawl counters) are the measurement state;
+/// `windows`/`spill_bytes` are diagnostics.
 struct FoldTotals {
   std::map<std::string, core::AggregateReport> reports;
   /// Policy-replay tallies by Policy::label() (optimizer folds only).

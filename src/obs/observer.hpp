@@ -1,11 +1,8 @@
 // The one observation interface the crawl carries.
 //
-// PRs 1-3 each threaded a new callback parameter through the crawl entry
-// points: PR 1 added ShardSink factories, PR 2 the fault ledger, PR 3
-// ChunkSink for journaling — three signatures, three lifetime contracts.
-// This interface replaces them all: CrawlOptions carries one Observer*,
-// and every observation channel (per-site results with their NetLog,
-// chunk checkpoints, metric shards) flows through it.
+// CrawlOptions carries one Observer*, and every observation channel
+// (per-site results with their NetLog, chunk checkpoints, metric shards)
+// flows through it.
 //
 // Threading contract, designed around the deterministic-merge rule:
 //   * begin() and metrics() run on the coordinating thread before any
@@ -29,8 +26,8 @@ class Observer {
  public:
   virtual ~Observer();
 
-  /// The crawl is about to start `workers` worker loops (1 for the
-  /// sequential path). Coordinating thread.
+  /// The crawl is about to start `workers` worker loops. Coordinating
+  /// thread.
   virtual void begin(unsigned workers) { (void)workers; }
 
   /// Metrics shard for `worker`, or nullptr to skip recording for it.
@@ -49,8 +46,8 @@ class Observer {
     (void)result;
   }
 
-  /// One work-queue chunk drained (chunked crawls only), on the worker's
-  /// thread.
+  /// One work-queue chunk drained, on the worker's thread, after the
+  /// chunk's last site(). Fires on every crawl.
   virtual void chunk(const browser::ChunkEvent& event) { (void)event; }
 };
 

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "core/classify.hpp"
-#include "journal/checkpoint.hpp"
-#include "journal/spill.hpp"
+#include "core/report_json.hpp"
+#include "journal/campaign.hpp"
 #include "util/env.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
@@ -21,48 +15,6 @@
 namespace h2r::optimize {
 
 namespace {
-
-/// Observer bridging per-worker sinks + chunk windows onto the crawl,
-/// same shape as the study's CampaignObserver.
-class SweepObserver final : public obs::Observer {
- public:
-  using MakeSink = std::function<browser::ShardSink(unsigned)>;
-
-  SweepObserver(MakeSink make_sink, browser::ChunkSink chunk_sink,
-                std::uint32_t hist_budget)
-      : make_sink_(std::move(make_sink)),
-        chunk_sink_(std::move(chunk_sink)) {
-    registry_.set_histogram_budget(hist_budget);
-  }
-
-  void begin(unsigned workers) override {
-    for (unsigned t = static_cast<unsigned>(sinks_.size()); t < workers;
-         ++t) {
-      sinks_.push_back(make_sink_(t));
-      (void)registry_.shard(t);  // materialize before the workers start
-    }
-  }
-
-  obs::Metrics* metrics(unsigned worker) override {
-    return &registry_.shard(worker);
-  }
-
-  void site(unsigned worker, browser::SiteResult& result) override {
-    sinks_[worker](result);
-  }
-
-  void chunk(const browser::ChunkEvent& event) override {
-    if (chunk_sink_) chunk_sink_(event);
-  }
-
-  obs::Metrics merged() const { return registry_.merged(); }
-
- private:
-  MakeSink make_sink_;
-  browser::ChunkSink chunk_sink_;
-  std::vector<browser::ShardSink> sinks_;
-  obs::MetricRegistry registry_;
-};
 
 /// Every subset of the enabled knobs, mask-ascending (baseline first).
 std::vector<std::uint8_t> policy_points(std::uint8_t knob_mask) {
@@ -95,7 +47,6 @@ OptimizeConfig OptimizeConfig::from_env() {
       std::max(1u, static_cast<unsigned>(
                        util::env_u64("H2R_THREADS", config.threads, 1))),
       hardware);
-  config.stream = util::env_flag("H2R_STREAM");
   config.spill_dir = util::env_string("H2R_SPILL");
   config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
@@ -115,11 +66,6 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
   results.config = config;
 
   const std::vector<std::uint8_t> points = policy_points(config.knob_mask);
-  std::vector<std::string> labels;
-  labels.reserve(points.size());
-  for (std::uint8_t mask : points) {
-    labels.push_back(core::Policy::with_mask(mask, config.base).label());
-  }
 
   web::Ecosystem eco{config.seed};
   web::ServiceCatalog catalog{eco, config.seed};
@@ -128,144 +74,45 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
   universe_config.top_rank = std::max<std::size_t>(config.sites / 2, 1);
   universe_config.tail_rank = std::max<std::size_t>(config.sites, 2);
   web::SiteUniverse universe{eco, catalog, universe_config};
-  if (!config.stream) universe.materialize(0, config.sites);
-
-  const asdb::AsDatabase* as_db = &eco.as_database();
-
-  // Windowed mode: per-chunk tally windows fold through ReportFold, the
-  // same streaming spine the study uses — per-worker state stays O(one
-  // window) no matter how many sites the universe has.
-  const bool windowed = config.stream;
-  if (!config.spill_dir.empty() && !windowed) {
-    throw std::runtime_error(
-        "spill_dir (H2R_SPILL) requires streaming mode");
-  }
-  std::unique_ptr<journal::ReportFold> fold;
-  if (config.spill_dir.empty()) {
-    fold = std::make_unique<journal::ReportFold>();
-  } else {
-    auto spilling = journal::ReportFold::spilling(config.spill_dir +
-                                                  "/h2r-spill-optimize.spill");
-    if (!spilling) {
-      throw std::runtime_error("spill fold (optimize): " +
-                               spilling.error().message);
-    }
-    fold = std::move(*spilling);
-  }
-  std::mutex fold_error_mutex;  // guards: fold_error
-  std::exception_ptr fold_error;
-
-  struct Shard {
-    core::Aggregator baseline_agg;
-    std::vector<core::PolicyTally> tallies;  // parallel to `points`
-    core::ClassifyContext classify;
-    Shard(const asdb::AsDatabase* db, std::uint32_t budget,
-          std::size_t point_count)
-        : baseline_agg(db, budget), tallies(point_count) {}
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
 
   // Crawl options identical to the study's Alexa campaign: the optimizer
   // replays the SAME universe crawl the study measures.
-  browser::CrawlOptions crawl;
-  crawl.browser.follow_fetch_credentials = true;
-  crawl.browser.vantage_region = "eu";
-  crawl.browser.faults = config.faults;
-  crawl.vantage_index = 0;
-  crawl.seed = config.seed + 1;
-  crawl.threads = config.threads;
-  crawl.start_time = util::days(1);
-  crawl.har_path = false;
-  crawl.stream = config.stream;
-
-  auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-    while (shards.size() <= worker) {
-      shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget,
-                                               points.size()));
-    }
-    Shard* shard = shards[worker].get();
-    return [shard, &points, &config](const browser::SiteResult& site) {
-      if (!site.reachable) return;
-      const auto& obs = site.netlog_observation;
-      // One prepare() per site, one columnar sweep per policy point.
-      shard->classify.prepare(obs);
-      const core::SiteClassification baseline =
-          shard->classify.classify(config.base);
-      shard->baseline_agg.add_site(obs, baseline);
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        if (points[p] == 0) {
-          shard->tallies[p].add_site(baseline, baseline);
-        } else {
-          shard->tallies[p].add_site(
-              baseline, shard->classify.classify(core::Policy::with_mask(
-                            points[p], config.base)));
-        }
-      }
-    };
-  };
-
-  browser::ChunkSink chunk_sink;
-  if (windowed) {
-    chunk_sink = [&](const browser::ChunkEvent& event) {
-      Shard* shard = shards[event.worker].get();
-      journal::ChunkCheckpoint checkpoint;
-      checkpoint.campaign = "optimize";
-      checkpoint.ranges = event.ranges;
-      checkpoint.summary = event.summary;
-      checkpoint.reports.emplace_back("baseline",
-                                      shard->baseline_agg.report());
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        checkpoint.tallies.emplace_back(labels[p], shard->tallies[p]);
-      }
-      auto folded = fold->fold(checkpoint);
-      if (!folded) {
-        std::lock_guard<std::mutex> lock(fold_error_mutex);
-        if (fold_error == nullptr) {
-          fold_error = std::make_exception_ptr(std::runtime_error(
-              "tally fold failed: " + folded.error().message));
-        }
-      }
-      shard->baseline_agg = core::Aggregator(as_db, config.hist_budget);
-      shard->tallies.assign(points.size(), core::PolicyTally{});
-    };
+  journal::CampaignSpec spec;
+  spec.name = "optimize";
+  spec.crawl.browser.follow_fetch_credentials = true;
+  spec.crawl.browser.vantage_region = "eu";
+  spec.crawl.browser.faults = config.faults;
+  spec.crawl.vantage_index = 0;
+  spec.crawl.seed = config.seed + 1;
+  spec.crawl.threads = config.threads;
+  spec.crawl.start_time = util::days(1);
+  spec.count = config.sites;
+  // One prepare() per site, one columnar sweep per distinct policy: the
+  // baseline report, then every point scored against it (the mask-0
+  // point is the baseline itself).
+  spec.reports = {{"baseline", config.base}};
+  for (const std::uint8_t mask : points) {
+    const core::Policy point = core::Policy::with_mask(mask, config.base);
+    spec.tallies.push_back({point.label(), mask == 0 ? config.base : point});
   }
 
-  SweepObserver observer{make_sink, std::move(chunk_sink),
-                         config.hist_budget};
-  crawl.observer = &observer;
-  if (windowed) crawl.chunked = true;
+  journal::CampaignRunOptions run;
+  run.as_db = &eco.as_database();
+  run.hist_budget = config.hist_budget;
+  run.spill_dir = config.spill_dir;
+  journal::CampaignOutcome outcome =
+      std::move(journal::run_campaigns(universe, {spec}, run).campaigns[0]);
+  journal::FoldTotals& totals = outcome.totals;
 
-  results.summary = browser::crawl(universe, 0, config.sites, crawl);
-  if (fold_error != nullptr) std::rethrow_exception(fold_error);
-
-  std::vector<core::PolicyTally> totals(points.size());
-  if (windowed) {
-    auto folded = fold->finish();
-    if (!folded) {
-      throw std::runtime_error("fold finish (optimize): " +
-                               folded.error().message);
-    }
-    results.baseline.merge(folded->reports["baseline"]);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const auto it = folded->tallies.find(labels[p]);
-      if (it != folded->tallies.end()) totals[p].merge(it->second);
-    }
-    results.spill_bytes = folded->spill_bytes;
-  } else {
-    for (const auto& shard : shards) {
-      results.baseline.merge(shard->baseline_agg.report());
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        totals[p].merge(shard->tallies[p]);
-      }
-    }
-  }
-  results.metrics = observer.merged();
-
+  results.summary = std::move(totals.summary);
+  results.baseline.merge(totals.reports["baseline"]);
+  results.metrics = std::move(outcome.metrics);
+  results.spill_bytes = totals.spill_bytes;
   results.ranked.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
-    results.ranked.push_back(PolicyOutcome{
-        core::Policy::with_mask(points[p], config.base),
-        std::move(totals[p])});
+    results.ranked.push_back(
+        PolicyOutcome{core::Policy::with_mask(points[p], config.base),
+                      std::move(totals.tallies[spec.tallies[p].name])});
   }
   std::sort(results.ranked.begin(), results.ranked.end(),
             [](const PolicyOutcome& a, const PolicyOutcome& b) {
@@ -282,8 +129,8 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
 
 json::Value to_json(const OptimizeResults& results) {
   json::Object root;
-  // `threads` and `stream` are deliberately absent: the document must be
-  // byte-identical across both (CI diffs it).
+  // `threads` is deliberately absent: the document must be byte-identical
+  // across thread counts (CI diffs it).
   json::Object config;
   config.set("sites", static_cast<std::int64_t>(results.config.sites));
   config.set("seed", static_cast<std::int64_t>(results.config.seed));

@@ -1,18 +1,19 @@
 // Counterfactual reuse maximizer (`h2r optimize`, DESIGN §14).
 //
 // One crawl, 2^k classifications: the optimizer crawls the Alexa-like
-// population ONCE (identical options to the study's Alexa campaign), then
-// replays every cached site observation under every subset of the enabled
-// policy knobs — ORIGIN frames, synchronized DNS, certificate
-// consolidation, ignored Fetch credentials — via
+// population ONCE (identical options to the study's Alexa campaign, run as
+// one journal::run_campaigns spec), then replays every site observation
+// under every subset of the enabled policy knobs — ORIGIN frames,
+// synchronized DNS, certificate consolidation, ignored Fetch credentials —
+// via
 // core::ClassifyContext::classify(Policy). No re-crawl: prepare() is
 // knob-independent, so each policy point costs one columnar sweep.
 //
 // The output is a deterministic ranking of intervention bundles: how many
 // redundant connections each combination recovers, what stays redundant
 // (by cause), and which operators the recovered connections are credited
-// to. Bit-identical across thread counts and stream/materialized modes
-// (the determinism contract every campaign in this repo carries).
+// to. Bit-identical across thread counts (the determinism contract every
+// campaign in this repo carries).
 //
 // Caveat (documented, pinned by tests/optimize_test.cpp): at nonzero
 // fault rates the replay cannot identify fresh-connection fault retries
@@ -40,13 +41,9 @@ struct OptimizeConfig {
   /// identical for every value; `from_env()` reads H2R_THREADS and clamps
   /// to hardware concurrency.
   unsigned threads = 1;
-  /// Streaming mode: regenerate sites on demand (CrawlOptions::stream)
-  /// and fold per-chunk tally windows through journal::ReportFold instead
-  /// of keeping per-worker state for the whole run. Bit-identical to a
-  /// materialized run. `from_env()` reads H2R_STREAM.
+  /// Ignored: every sweep streams. perfbench/workload.cpp is its last writer.
   bool stream = false;
-  /// Directory for ReportFold spill files; empty = resident folds.
-  /// Requires streaming mode (no chunk windows otherwise).
+  /// Directory for the ReportFold spill file; empty = resident fold.
   std::string spill_dir;
   /// Bin budget for the baseline report's histograms (0 = exact).
   std::uint32_t hist_budget = 0;
@@ -63,8 +60,8 @@ struct OptimizeConfig {
   /// else sweeps all core::kAllPolicyKnobs.
   std::uint8_t knob_mask = core::kAllPolicyKnobs;
 
-  /// Reads H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS / H2R_STREAM /
-  /// H2R_SPILL / H2R_HIST_BUDGET / H2R_FAULT_* / H2R_POLICY_* overrides.
+  /// Reads H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS / H2R_SPILL /
+  /// H2R_HIST_BUDGET / H2R_FAULT_* / H2R_POLICY_* overrides.
   static OptimizeConfig from_env();
 };
 
@@ -89,12 +86,12 @@ struct OptimizeResults {
   std::uint64_t spill_bytes = 0;
 };
 
-/// Runs the crawl + policy sweep. Throws std::runtime_error on spill
-/// misconfiguration or fold failures.
+/// Runs the crawl + policy sweep. Throws std::runtime_error when the spill
+/// file cannot be created, written or read back.
 OptimizeResults run_optimize(const OptimizeConfig& config);
 
-/// Deterministic JSON document: bit-identical across thread counts and
-/// stream/materialized modes (threads and stream are deliberately absent).
+/// Deterministic JSON document: bit-identical across thread counts
+/// (threads is deliberately absent).
 json::Value to_json(const OptimizeResults& results);
 
 /// Human-readable ranking table.

@@ -84,8 +84,8 @@ struct ClusterSpec {
 /// the shared ecosystem: its servers, DNS record sets and certificates.
 /// Produced by Ecosystem::plan_cluster as a pure function of the cluster
 /// spec and an allocation seed, which is what lets crawl workers
-/// regenerate sites lazily (streaming mode) without mutating — or even
-/// locking — the shared ecosystem. The browser treats a site's
+/// generate sites on demand without mutating — or even locking — the
+/// shared ecosystem. The browser treats a site's
 /// deployment as an overlay: lookups consult it first, then fall back to
 /// the shared catalog.
 struct SiteDeployment {

@@ -114,48 +114,9 @@ bool SiteUniverse::unreachable(std::size_t rank) const {
   return rng.chance(config_.p_unreachable);
 }
 
-const Website& SiteUniverse::site(std::size_t rank) {
-  const auto it = cache_.find(rank);
-  if (it != cache_.end()) return it->second;
-  return cache_.emplace(rank, generate_site(rank)).first->second;
-}
-
 Website SiteUniverse::generate_site(std::size_t rank) const {
   util::Rng rng{util::combine_seed(config_.seed, rank)};
   return generate(rank, rng);
-}
-
-const Website* SiteUniverse::cached(std::size_t rank) const noexcept {
-  const auto it = cache_.find(rank);
-  return it == cache_.end() ? nullptr : &it->second;
-}
-
-void SiteUniverse::materialize(std::size_t first_rank, std::size_t count) {
-  for (std::size_t rank = first_rank; rank < first_rank + count; ++rank) {
-    if (!unreachable(rank)) (void)site(rank);
-  }
-}
-
-const Website& SiteCache::site(std::size_t rank) {
-  if (const Website* shared = universe_->cached(rank)) {
-    ++shared_hits_;
-    return *shared;
-  }
-  const auto it = index_.find(rank);
-  if (it != index_.end()) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-  }
-  ++misses_;
-  lru_.emplace_front(rank, universe_->generate_site(rank));
-  index_[rank] = lru_.begin();
-  if (capacity_ != 0 && lru_.size() > capacity_) {
-    ++evictions_;
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-  return lru_.front().second;
 }
 
 void SiteUniverse::build_first_party(Website& site, std::size_t rank,
@@ -315,8 +276,8 @@ void SiteUniverse::build_first_party(Website& site, std::size_t rank,
 }
 
 std::vector<std::vector<Resource>> SiteUniverse::internal_pages(
-    std::size_t rank, std::size_t count) {
-  const Website& landing = site(rank);
+    std::size_t rank, std::size_t count) const {
+  const Website landing = generate_site(rank);
   std::vector<std::vector<Resource>> out;
   out.reserve(count);
   util::Rng rng{util::combine_seed(config_.seed,

@@ -9,10 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -73,38 +70,19 @@ struct UniverseConfig {
   static UniverseConfig defaults();
 };
 
-/// Lazily generates sites by rank; each site's own hosting cluster is a
-/// self-contained SiteDeployment overlay (Ecosystem::plan_cluster), so
-/// generation never mutates the shared ecosystem.
+/// Generates sites by rank, holding none of them; each site's own hosting
+/// cluster is a self-contained SiteDeployment overlay
+/// (Ecosystem::plan_cluster), so generation never mutates the shared
+/// ecosystem.
 class SiteUniverse {
  public:
   SiteUniverse(Ecosystem& eco, const ServiceCatalog& catalog,
                UniverseConfig config = UniverseConfig::defaults());
 
-  /// The website at `rank`, cached in the shared cache. Stable across
-  /// calls. Not thread-safe (the cache mutates); parallel readers use
-  /// materialize() + cached(), or per-worker SiteCaches.
-  const Website& site(std::size_t rank);
-
-  /// Regenerates the website at `rank` from (universe seed, rank) alone
-  /// — a pure function, safe to call concurrently, bypassing every
-  /// cache. Two calls (on any threads, in any order) return identical
-  /// sites.
+  /// The website at `rank`, generated from (universe seed, rank) alone —
+  /// a pure function, safe to call concurrently. Two calls (on any
+  /// threads, in any order) return identical sites.
   Website generate_site(std::size_t rank) const;
-
-  /// The shared-cache entry for `rank`, or null when never materialized.
-  /// Lock-free reads are safe once no thread mutates the cache via
-  /// site()/materialize().
-  const Website* cached(std::size_t rank) const noexcept;
-
-  /// Pre-generates every reachable site in [first_rank, first_rank +
-  /// count) into the shared cache. Generation itself is pure and
-  /// thread-safe — only this shared cache is not: parallel crawls either
-  /// materialize their ranges up front from one thread (after which
-  /// `site()`/`cached()` are read-only for those ranks), or skip
-  /// materialization entirely and regenerate sites on demand through
-  /// per-worker SiteCaches (streaming mode, O(workers * cache) memory).
-  void materialize(std::size_t first_rank, std::size_t count);
 
   /// Resource sets of `count` internal pages of the site at `rank`
   /// (deterministic). Internal pages share the site's template: most
@@ -112,7 +90,7 @@ class SiteUniverse {
   /// internal-pages ablation — the paper only measured landing pages
   /// (§4.3).
   std::vector<std::vector<Resource>> internal_pages(std::size_t rank,
-                                                    std::size_t count);
+                                                    std::size_t count) const;
 
   /// True if the site is simulated as unreachable (timeout / DNS failure).
   bool unreachable(std::size_t rank) const;
@@ -131,43 +109,6 @@ class SiteUniverse {
   Ecosystem& eco_;
   const ServiceCatalog& catalog_;
   UniverseConfig config_;
-  std::map<std::size_t, Website> cache_;
-};
-
-/// Per-worker bounded site cache over SiteUniverse::generate_site.
-/// Lookups serve the universe's shared cache first (materialized mode:
-/// every lookup lands there), then a local LRU of the `capacity` most
-/// recently used regenerated sites (0 = unbounded; streaming mode).
-/// Both modes run the same generation code, which is what makes a
-/// streaming crawl bit-identical to a materialized one by construction.
-/// Not thread-safe — one per worker. The hit/miss/eviction counters
-/// describe a scheduling-dependent access pattern and belong to the
-/// diagnostic metric domain only.
-class SiteCache {
- public:
-  SiteCache(const SiteUniverse& universe, std::size_t capacity)
-      : universe_(&universe), capacity_(capacity) {}
-
-  /// The website at `rank`; regenerates on a local miss. The reference
-  /// stays valid until `capacity` further misses.
-  const Website& site(std::size_t rank);
-
-  std::uint64_t shared_hits() const noexcept { return shared_hits_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
-
- private:
-  using Lru = std::list<std::pair<std::size_t, Website>>;
-
-  const SiteUniverse* universe_;
-  std::size_t capacity_;
-  Lru lru_;  // front = most recently used
-  std::map<std::size_t, Lru::iterator> index_;
-  std::uint64_t shared_hits_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace h2r::web

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "browser/browser.hpp"
 #include "browser/crawl.hpp"
 #include "core/classify.hpp"
 #include "dns/vantage.hpp"
+#include "obs/observer.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
 
@@ -538,13 +542,64 @@ TEST(Crawl, SinkReceivesRankOrderInParallelMode) {
 }
 
 TEST(Crawl, InvalidVantageThrows) {
+  // A bad vantage must surface here, on the calling thread, at every
+  // thread count — never as std::terminate on a crawl thread.
+  web::Ecosystem eco{42};
+  web::ServiceCatalog catalog{eco, 42};
+  web::SiteUniverse universe{eco, catalog};
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CrawlOptions options;
+    options.threads = threads;
+    options.vantage_index = 99;
+    EXPECT_THROW(
+        crawl_range(universe, 0, 4, options, [](const SiteResult&) {}),
+        std::out_of_range);
+  }
+}
+
+TEST(Crawl, SinkExceptionReachesTheCaller) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
   web::SiteUniverse universe{eco, catalog};
   CrawlOptions options;
-  options.vantage_index = 99;
+  options.threads = 2;
+  EXPECT_THROW(crawl_range(universe, 0, 6, options,
+                           [](const SiteResult& site) {
+                             if (site.rank == 2) {
+                               throw std::runtime_error("sink failed");
+                             }
+                           }),
+               std::runtime_error);
+}
+
+TEST(Crawl, RangeRejectsAnObserver) {
+  // crawl_range owns the crawl's observer; a caller's would never fire.
+  web::Ecosystem eco{42};
+  web::ServiceCatalog catalog{eco, 42};
+  web::SiteUniverse universe{eco, catalog};
+  obs::MetricsObserver observer;
+  CrawlOptions options;
+  options.observer = &observer;
   EXPECT_THROW(crawl_range(universe, 0, 1, options, [](const SiteResult&) {}),
-               std::out_of_range);
+               std::invalid_argument);
+}
+
+TEST(Crawl, RangeIgnoresTargets) {
+  // crawl_range visits its whole range; a targets list meant for crawl()
+  // must not leave its reorder buffer waiting on a skipped rank.
+  web::Ecosystem eco{42};
+  web::ServiceCatalog catalog{eco, 42};
+  web::SiteUniverse universe{eco, catalog};
+  const std::vector<std::size_t> targets = {1, 3};
+  CrawlOptions options;
+  options.threads = 2;
+  options.targets = &targets;
+  std::size_t seen = 0;
+  const CrawlSummary summary = crawl_range(
+      universe, 0, 5, options, [&](const SiteResult&) { ++seen; });
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(summary.sites_visited + summary.sites_unreachable, 5u);
 }
 
 }  // namespace

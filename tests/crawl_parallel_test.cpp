@@ -15,6 +15,7 @@
 #include "core/report.hpp"
 #include "fault/fault.hpp"
 #include "json/json.hpp"
+#include "obs/observer.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
 #include "web/sitegen.hpp"
@@ -125,9 +126,37 @@ TEST_P(CrawlParallelDifferential, FaultedCrawlIsThreadCountInvariantToo) {
 INSTANTIATE_TEST_SUITE_P(SeedSweep, CrawlParallelDifferential,
                          ::testing::Values(1u, 2u, 3u, 42u, 77u, 1234u));
 
+/// Per-worker aggregation through crawl()'s Observer: each worker
+/// classifies its own sites into its own shard, merged afterwards.
+class ShardedAggregator final : public obs::Observer {
+ public:
+  void begin(unsigned workers) override {
+    while (shards_.size() < workers) {
+      shards_.push_back(std::make_unique<core::Aggregator>());
+    }
+  }
+
+  void site(unsigned worker, SiteResult& site) override {
+    if (!site.reachable) return;
+    shards_[worker]->add_site(
+        site.netlog_observation,
+        core::classify_site(site.netlog_observation,
+                            {core::DurationModel::kEndless}));
+  }
+
+  core::AggregateReport merged() const {
+    core::AggregateReport report;
+    for (const auto& shard : shards_) report.merge(shard->report());
+    return report;
+  }
+
+ private:
+  std::vector<std::unique_ptr<core::Aggregator>> shards_;
+};
+
 TEST(CrawlParallel, ShardedCrawlEqualsOrderedCrawl) {
-  // crawl_range_sharded (per-worker aggregation, merged afterwards) must
-  // reproduce the sequential sink accumulation exactly.
+  // crawl() with a per-worker aggregating Observer (merged afterwards)
+  // must reproduce the rank-ordered sink accumulation exactly.
   const std::uint64_t seed = 42;
   const RunOutput sequential = run_crawl(1, seed);
 
@@ -137,26 +166,12 @@ TEST(CrawlParallel, ShardedCrawlEqualsOrderedCrawl) {
   CrawlOptions options;
   options.threads = 5;
   options.seed = seed + 100;
+  ShardedAggregator observer;
+  options.observer = &observer;
 
-  std::vector<std::unique_ptr<core::Aggregator>> shards;
-  const CrawlSummary summary = crawl_range_sharded(
-      universe, 0, kSites, options, [&](unsigned worker) -> ShardSink {
-        while (shards.size() <= worker) {
-          shards.push_back(std::make_unique<core::Aggregator>());
-        }
-        core::Aggregator* shard = shards[worker].get();
-        return [shard](const SiteResult& site) {
-          if (!site.reachable) return;
-          shard->add_site(site.netlog_observation,
-                          core::classify_site(site.netlog_observation,
-                                              {core::DurationModel::kEndless}));
-        };
-      });
-
-  core::AggregateReport merged;
-  for (const auto& shard : shards) merged.merge(shard->report());
+  const CrawlSummary summary = crawl(universe, 0, kSites, options);
   EXPECT_TRUE(summary == sequential.summary);
-  EXPECT_EQ(merged, sequential.report);
+  EXPECT_EQ(observer.merged(), sequential.report);
 }
 
 TEST(CrawlParallel, WorkerCountersAccountForEverySite) {

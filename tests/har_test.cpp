@@ -117,6 +117,10 @@ struct FilterCase {
   std::uint64_t ImportStats::*counter;
 };
 
+// gtest_discover_tests names each case after this text; without it gtest
+// prints the struct's raw bytes, whose pointers differ on every run.
+void PrintTo(const FilterCase& c, std::ostream* os) { *os << c.name; }
+
 class HarImportFilter : public ::testing::TestWithParam<FilterCase> {};
 
 TEST_P(HarImportFilter, DropsAndCounts) {

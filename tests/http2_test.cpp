@@ -6,6 +6,16 @@
 #include "tls/certificate.hpp"
 
 namespace h2r::http2 {
+
+// gtest_discover_tests names each FrameHeaderRoundTrip case after this text;
+// without it gtest prints the struct's raw bytes, padding included. It sits
+// outside the unnamed namespace so argument-dependent lookup finds it.
+static void PrintTo(const FrameHeader& h, std::ostream* os) {
+  *os << to_string(h.type) << " length=" << h.length
+      << " flags=" << static_cast<unsigned>(h.flags)
+      << " stream=" << h.stream_id;
+}
+
 namespace {
 
 // ---------------------------------------------------------------- frames

@@ -37,6 +37,7 @@ TEST_P(CrawlInvariants, HoldAcrossSeeds) {
                                                          site) {
     if (!site.reachable) return;
     const core::SiteObservation& obs = site.netlog_observation;
+    const web::Website generated = universe.generate_site(site.rank);
 
     // Connections are ordered and have sane timestamps.
     for (std::size_t i = 0; i < obs.connections.size(); ++i) {
@@ -56,11 +57,8 @@ TEST_P(CrawlInvariants, HoldAcrossSeeds) {
       // site's own deployment overlay (generated first-party clusters are
       // self-contained, not published) — and serves h2.
       const web::Server* server = eco.server_at(conn.endpoint.address);
-      if (server == nullptr) {
-        const auto& deployment = universe.site(site.rank).deployment;
-        if (deployment != nullptr) {
-          server = deployment->server_at(conn.endpoint.address);
-        }
+      if (server == nullptr && generated.deployment != nullptr) {
+        server = generated.deployment->server_at(conn.endpoint.address);
       }
       ASSERT_NE(server, nullptr);
       EXPECT_TRUE(server->h2_enabled());

@@ -62,7 +62,7 @@ TEST(LintRules, InventoryIsStableAndSorted) {
       "contract.merge-coverage", "env.getenv",
       "hotpath.alloc",         "lock.atomic-mix",
       "lock.guards",           "lock.order",
-      "order.unordered",       "policy.alias",
+      "order.unordered",
   };
   EXPECT_EQ(ids, expected);
   // Every rule explains itself (--explain RULE is user-facing surface).
@@ -70,13 +70,6 @@ TEST(LintRules, InventoryIsStableAndSorted) {
     EXPECT_FALSE(explain_rule(id).empty()) << id;
   }
   EXPECT_TRUE(explain_rule("nonexistent.rule").empty());
-}
-
-TEST(LintRules, PolicyAliasWarnsExceptWhereAllowed) {
-  // Line 7 (the alias definition) carries an allow annotation; the plain
-  // use in caller() trips.
-  EXPECT_EQ(keys(scan_fixture("policy_alias.cpp")),
-            (Keys{{"policy.alias", 10}}));
 }
 
 TEST(LintRules, CleanFixtureHasZeroFindings) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "browser/crawl.hpp"
 #include "experiments/study.hpp"
@@ -26,7 +25,7 @@ namespace {
 
 constexpr std::size_t kSites = 30;
 
-Metrics crawl_metrics(unsigned threads, double fault_rate, bool chunked) {
+Metrics crawl_metrics(unsigned threads, double fault_rate) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
   web::SiteUniverse universe{eco, catalog};
@@ -40,12 +39,6 @@ Metrics crawl_metrics(unsigned threads, double fault_rate, bool chunked) {
   }
   MetricsObserver observer;
   options.observer = &observer;
-  std::vector<std::size_t> targets;
-  if (chunked) {
-    for (std::size_t i = 0; i < kSites; ++i) targets.push_back(i);
-    options.chunked = true;
-    options.targets = &targets;
-  }
   browser::crawl(universe, 0, kSites, options);
   return observer.merged();
 }
@@ -53,7 +46,7 @@ Metrics crawl_metrics(unsigned threads, double fault_rate, bool chunked) {
 TEST(MetricsDeterminism, SnapshotsIdenticalAcrossThreadCounts) {
   for (const double rate : {0.0, 0.25}) {
     SCOPED_TRACE("fault_rate=" + std::to_string(rate));
-    const Metrics baseline = crawl_metrics(1, rate, false);
+    const Metrics baseline = crawl_metrics(1, rate);
     EXPECT_GT(baseline.counter("crawl.sites_visited"), 0u);
     EXPECT_GT(baseline.counter("dns.queries"), 0u);
     EXPECT_GT(baseline.counter("tls.handshakes"), 0u);
@@ -62,28 +55,18 @@ TEST(MetricsDeterminism, SnapshotsIdenticalAcrossThreadCounts) {
     const std::string baseline_json = json::write(to_json(baseline));
     for (const unsigned threads : {2u, 7u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      const Metrics run = crawl_metrics(threads, rate, false);
+      const Metrics run = crawl_metrics(threads, rate);
       EXPECT_EQ(run, baseline);
       EXPECT_EQ(json::write(to_json(run)), baseline_json);
     }
   }
 }
 
-TEST(MetricsDeterminism, ChunkedModeMatchesPlainCrawl) {
-  // The checkpointed path (chunk-local accounting, uniform worker pool)
-  // must record the same deterministic metrics as the plain crawl.
-  const std::string plain = json::write(to_json(crawl_metrics(1, 0.25, false)));
-  for (const unsigned threads : {1u, 3u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(json::write(to_json(crawl_metrics(threads, 0.25, true))), plain);
-  }
-}
-
 TEST(MetricsDeterminism, DiagnosticsMayDifferButStayInvisible) {
-  const Metrics a = crawl_metrics(1, 0.0, false);
-  const Metrics b = crawl_metrics(7, 0.0, false);
-  // Equal snapshots even though the chunk accounting differs (1 chunk
-  // sequentially vs one per work-queue claim).
+  const Metrics a = crawl_metrics(1, 0.0);
+  const Metrics b = crawl_metrics(7, 0.0);
+  // Equal snapshots even though the chunk accounting differs (the work
+  // queue sizes its chunks by the thread count).
   EXPECT_EQ(a, b);
   EXPECT_GT(a.diag_counter("crawl.chunks_claimed"), 0u);
   EXPECT_GT(b.diag_counter("crawl.chunks_claimed"), 0u);

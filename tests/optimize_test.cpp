@@ -1,6 +1,6 @@
 // Tests for the counterfactual reuse maximizer (`h2r optimize`, DESIGN
 // §14): the pinned golden ranking, the determinism contract (bit-identical
-// JSON across thread counts and stream/materialized/spilled modes), the
+// JSON across thread counts and resident/spilled folds), the
 // rate-0 fault differential, and the cross-validation that anchors the
 // whole replay design — the ORIGIN-frame policy replay must reproduce a
 // REAL ORIGIN-enabled re-crawl connection-for-connection.
@@ -145,7 +145,7 @@ TEST(OptimizeGolden, RankingOrderIsRecoveredThenCheapest) {
 
 // ------------------------------------------------------------------
 // Determinism contract: the JSON document is bit-identical across
-// thread counts and stream/materialized/spilled modes.
+// thread counts and resident/spilled folds.
 
 optimize::OptimizeConfig determinism_config() {
   optimize::OptimizeConfig config;
@@ -155,28 +155,24 @@ optimize::OptimizeConfig determinism_config() {
 }
 
 TEST(OptimizeDeterminism, JsonIdenticalAcrossThreadsAndStreaming) {
+  // Every sweep streams; the thread count is the only execution knob left.
   std::string reference;
   for (unsigned threads : {1u, 2u, 7u}) {
-    for (bool stream : {false, true}) {
-      optimize::OptimizeConfig config = determinism_config();
-      config.threads = threads;
-      config.stream = stream;
-      const std::string doc =
-          json::write(optimize::to_json(optimize::run_optimize(config)));
-      if (reference.empty()) {
-        reference = doc;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(doc, reference)
-            << "threads=" << threads << " stream=" << stream;
-      }
+    optimize::OptimizeConfig config = determinism_config();
+    config.threads = threads;
+    const std::string doc =
+        json::write(optimize::to_json(optimize::run_optimize(config)));
+    if (reference.empty()) {
+      reference = doc;
+      ASSERT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(doc, reference) << "threads=" << threads;
     }
   }
 }
 
 TEST(OptimizeDeterminism, SpilledFoldMatchesResident) {
-  optimize::OptimizeConfig resident = determinism_config();
-  resident.stream = true;
+  const optimize::OptimizeConfig resident = determinism_config();
   const optimize::OptimizeResults base = optimize::run_optimize(resident);
 
   optimize::OptimizeConfig spilled = resident;
@@ -185,12 +181,6 @@ TEST(OptimizeDeterminism, SpilledFoldMatchesResident) {
   EXPECT_GT(folded.spill_bytes, 0u);
   EXPECT_EQ(json::write(optimize::to_json(folded)),
             json::write(optimize::to_json(base)));
-}
-
-TEST(OptimizeDeterminism, SpillWithoutStreamingThrows) {
-  optimize::OptimizeConfig config = determinism_config();
-  config.spill_dir = ::testing::TempDir();
-  EXPECT_THROW(optimize::run_optimize(config), std::runtime_error);
 }
 
 TEST(OptimizeDeterminism, RateZeroFaultsMatchNoFaults) {

@@ -1,15 +1,16 @@
 // Differential scale suite for the streaming study engine.
 //
-// The contract under test: a streaming study (lazy per-rank site
-// regeneration through bounded per-worker caches, chunk-windowed report
-// folding) is BIT-IDENTICAL to the materialized study — same report
-// JSON, same metric snapshot — at every thread count and fault rate,
-// survives a mid-campaign crash/resume like the materialized engine, and
-// keeps the process's peak RSS under an externally imposed budget.
+// The contract under test: a study (per-rank site regeneration in every
+// crawl worker, chunk-windowed report folding) lands on the pinned
+// reference bytes — same report JSON, same summaries, same metric
+// snapshot — at every thread count and fault rate, survives a
+// mid-campaign crash/resume, spills without changing a byte, and keeps
+// the process's peak RSS under an externally imposed budget.
 //
 // Identity is asserted on serialized bytes, not just operator==: the
 // full-fidelity report codec and the deterministic metric snapshot are
-// what CI diffs byte-for-byte, so that is what this suite pins.
+// what CI diffs byte-for-byte, so that is what this suite pins (see
+// output_digest.hpp for the reference digests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,131 +28,79 @@
 #include "journal/spill.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
+#include "output_digest.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
-#include "web/catalog.hpp"
-#include "web/ecosystem.hpp"
-#include "web/sitegen.hpp"
 
 namespace h2r::experiments {
 namespace {
 
-StudyConfig small_config(double fault_rate) {
-  StudyConfig config;
-  config.har_sites = 90;
-  config.alexa_sites = 80;
-  config.har_first_rank = 30;
-  config.seed = 7;
-  config.threads = 3;
-  if (fault_rate > 0) config.faults = fault::FaultConfig::uniform(fault_rate);
-  return config;
+using testing::golden_study_config;
+using testing::sha256_hex;
+using testing::study_metric_bytes;
+using testing::study_report_bytes;
+using testing::study_summary_bytes;
+
+/// Measurement identity against the reference digests: summaries and
+/// full-fidelity report bytes. This is the part that survives a resume
+/// (metrics deliberately cover only the sites crawled THIS run — see
+/// StudyResults::metrics).
+void expect_pinned_measurements(const StudyResults& got,
+                                const testing::StudyDigests& want) {
+  EXPECT_EQ(sha256_hex(study_report_bytes(got)), want.reports);
+  EXPECT_EQ(sha256_hex(study_summary_bytes(got)), want.summaries);
 }
 
-/// Every report of the study, serialized through the full-fidelity codec —
-/// the byte stream the differential contract is about.
-std::string report_bytes(const StudyResults& results) {
-  std::string bytes;
-  for (const core::AggregateReport* report :
-       {&results.har_endless, &results.har_immediate, &results.alexa_exact,
-        &results.alexa_endless, &results.nofetch_exact,
-        &results.overlap_har_endless, &results.overlap_alexa_endless}) {
-    bytes += json::write(core::to_json_full(*report));
-    bytes += '\n';
-  }
-  bytes += std::to_string(results.overlap_sites);
-  return bytes;
+/// Full identity, metric snapshot included — what every uninterrupted
+/// run owes the reference.
+void expect_pinned(const StudyResults& got,
+                   const testing::StudyDigests& want) {
+  expect_pinned_measurements(got, want);
+  EXPECT_EQ(sha256_hex(study_metric_bytes(got)), want.metrics);
 }
 
-/// The deterministic metric snapshot, serialized exactly like
-/// H2R_METRICS / `h2r study --metrics` writes it.
-std::string metric_bytes(const StudyResults& results) {
-  json::WriteOptions opts;
-  opts.pretty = true;
-  return json::write(obs::to_json(results.metrics), opts);
-}
-
-/// Measurement identity: summaries and full-fidelity report bytes. This
-/// is the part that survives a resume (metrics deliberately cover only
-/// the sites crawled THIS run — see StudyResults::metrics).
-void expect_identical_measurements(const StudyResults& got,
-                                   const StudyResults& want) {
-  EXPECT_TRUE(got.har_summary == want.har_summary);
-  EXPECT_TRUE(got.alexa_summary == want.alexa_summary);
-  EXPECT_TRUE(got.nofetch_summary == want.nofetch_summary);
-  EXPECT_EQ(report_bytes(got), report_bytes(want));
-}
-
-/// Full identity, metric snapshot included — what uninterrupted streaming
-/// runs owe the materialized baseline.
-void expect_identical(const StudyResults& got, const StudyResults& want) {
-  expect_identical_measurements(got, want);
-  EXPECT_EQ(metric_bytes(got), metric_bytes(want));
-}
-
-/// The tentpole differential: one materialized baseline per fault rate,
-/// then streaming runs across thread counts must reproduce its bytes.
-void streaming_matches_materialized(double fault_rate) {
-  const StudyResults baseline = run_study(small_config(fault_rate));
+/// The tentpole differential: every thread count reproduces the
+/// reference bytes of its fault rate.
+void threads_match_reference(double fault_rate,
+                             const testing::StudyDigests& want) {
   for (const unsigned threads : {1u, 2u, 7u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    StudyConfig config = small_config(fault_rate);
-    config.stream = true;
-    config.threads = threads;
-    const StudyResults streamed = run_study(config);
-    expect_identical(streamed, baseline);
+    expect_pinned(run_study(golden_study_config(threads, fault_rate)), want);
   }
 }
 
 TEST(StreamingCrawl, FaultFreeStreamingIsBitIdenticalAcrossThreadCounts) {
-  streaming_matches_materialized(0.0);
+  threads_match_reference(0.0, testing::kStudyFaultFree);
 }
 
 TEST(StreamingCrawl, FaultyStreamingIsBitIdenticalAcrossThreadCounts) {
-  streaming_matches_materialized(0.25);
+  threads_match_reference(0.25, testing::kStudyFaulty);
 }
 
 TEST(StreamingCrawl, SpillingStudyIsBitIdenticalToResidentStreaming) {
-  // The study-level spill differential: --stream with ReportFold spill
-  // files must reproduce the resident streaming run's bytes exactly —
-  // the spill file is a framed detour, not a different aggregation.
-  StudyConfig resident_config = small_config(0.0);
-  resident_config.stream = true;
-  resident_config.threads = 2;
-  const StudyResults resident = run_study(resident_config);
-
+  // The study-level spill differential: ReportFold spill files must
+  // reproduce the resident fold's bytes exactly — the spill file is a
+  // framed detour, not a different aggregation.
   for (const unsigned threads : {1u, 3u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    StudyConfig config = small_config(0.0);
-    config.stream = true;
-    config.threads = threads;
+    StudyConfig config = golden_study_config(threads, 0.0);
     config.spill_dir = ::testing::TempDir();
     const StudyResults spilled = run_study(config);
-    expect_identical(spilled, resident);
+    expect_pinned(spilled, testing::kStudyFaultFree);
     // The spill actually happened: every fold wrote frames.
     EXPECT_GT(spilled.spill_bytes, 0u);
   }
 }
 
-TEST(StreamingCrawl, SpillWithoutWindowedModeIsAHardError) {
-  // A spilling fold outside stream/journal mode would silently fold
-  // nothing and return empty reports — run_study must refuse instead.
-  StudyConfig config = small_config(0.0);
-  config.spill_dir = ::testing::TempDir();
-  EXPECT_THROW(run_study(config), std::runtime_error);
-}
-
 TEST(StreamingCrawl, HistogramBudgetIsModeIndependent) {
-  // A budgeted streaming run must equal a budgeted materialized run —
-  // the sketch coarsens identically on both paths.
-  StudyConfig materialized = small_config(0.0);
-  materialized.hist_budget = 8;
-  const StudyResults baseline = run_study(materialized);
-
-  StudyConfig streamed_config = materialized;
-  streamed_config.stream = true;
-  streamed_config.threads = 2;
-  const StudyResults streamed = run_study(streamed_config);
-  expect_identical(streamed, baseline);
+  // A budgeted run coarsens its sketches identically at every thread
+  // count.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StudyConfig config = golden_study_config(threads, 0.0);
+    config.hist_budget = 8;
+    expect_pinned(run_study(config), testing::kStudyBudget8);
+  }
 }
 
 // ------------------------------------------------- crash/resume parity
@@ -191,19 +140,15 @@ std::size_t offset_after(const std::string& data, std::size_t entries) {
 }
 
 TEST(StreamingCrawl, StreamingStudySurvivesMidCampaignCrashAndResume) {
-  // Same kill-and-resume drill as journal_resume_test, but with the
-  // streaming engine on BOTH sides of the crash: the journaled windows a
-  // streaming run commits must recover into the same bytes a
-  // materialized, uninterrupted run produces.
-  const StudyResults clean = run_study(small_config(0.0));
-
+  // Same kill-and-resume drill as journal_resume_test, checked against
+  // the reference digests: the journaled windows a run commits must
+  // recover into the bytes an uninterrupted run produces.
   const std::string path =
       std::string(::testing::TempDir()) + "/streaming_resume.journal";
-  StudyConfig journaled_config = small_config(0.0);
-  journaled_config.stream = true;
+  StudyConfig journaled_config = golden_study_config(3, 0.0);
   journaled_config.journal_path = path;
   const StudyResults journaled = run_study(journaled_config);
-  expect_identical(journaled, clean);
+  expect_pinned(journaled, testing::kStudyFaultFree);
   EXPECT_GT(journaled.journal_bytes, 0u);
 
   auto contents = journal::read_journal(path);
@@ -219,43 +164,13 @@ TEST(StreamingCrawl, StreamingStudySurvivesMidCampaignCrashAndResume) {
   cut = (cut + next_end) / 2;
   dump(path, data.substr(0, cut));
 
-  StudyConfig resume_config = small_config(0.0);
-  resume_config.stream = true;
+  StudyConfig resume_config = golden_study_config(5, 0.0);
   resume_config.journal_path = path;
   resume_config.resume = true;
-  resume_config.threads = 5;
   const StudyResults resumed = run_study(resume_config);
-  expect_identical_measurements(resumed, clean);
+  expect_pinned_measurements(resumed, testing::kStudyFaultFree);
   EXPECT_EQ(resumed.resumed_chunks, keep);
   EXPECT_GT(resumed.resumed_sites, 0u);
-}
-
-TEST(StreamingCrawl, MaterializedJournalResumesIntoStreamingRun) {
-  // `stream` is absent from the journal fingerprint on purpose: the two
-  // modes produce identical bytes, so a journal written materialized must
-  // resume under the streaming engine (and vice versa).
-  const StudyResults clean = run_study(small_config(0.0));
-
-  const std::string path =
-      std::string(::testing::TempDir()) + "/streaming_crossmode.journal";
-  StudyConfig journaled_config = small_config(0.0);
-  journaled_config.journal_path = path;
-  const StudyResults journaled = run_study(journaled_config);
-  expect_identical(journaled, clean);
-
-  auto contents = journal::read_journal(path);
-  ASSERT_TRUE(contents) << contents.error().message;
-  const std::size_t keep = contents->entries.size() / 2;
-  const std::string data = slurp(path);
-  dump(path, data.substr(0, offset_after(data, keep)));
-
-  StudyConfig resume_config = small_config(0.0);
-  resume_config.stream = true;  // journal was written materialized
-  resume_config.journal_path = path;
-  resume_config.resume = true;
-  const StudyResults resumed = run_study(resume_config);
-  expect_identical_measurements(resumed, clean);
-  EXPECT_EQ(resumed.resumed_chunks, keep);
 }
 
 // ------------------------------------------------ ReportFold spill path
@@ -403,7 +318,6 @@ TEST(StreamingScale, PeakRssStaysWithinBudget) {
   config.run_no_fetch = false;
   config.seed = 42;
   config.threads = 4;
-  config.stream = true;
   config.hist_budget = 64;
   const StudyResults results = run_study(config);
   EXPECT_EQ(results.alexa_summary.sites_visited +

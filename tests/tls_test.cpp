@@ -12,6 +12,13 @@ struct MatchCase {
   bool expected;
 };
 
+// gtest_discover_tests names each case after this text; without it gtest
+// prints the struct's raw bytes, whose pointers differ on every run.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.host << "\" -> "
+      << (c.expected ? "match" : "no match");
+}
+
 class DnsNameMatch : public ::testing::TestWithParam<MatchCase> {};
 
 TEST_P(DnsNameMatch, MatchesPerRfc6125) {

@@ -296,21 +296,21 @@ TEST(SiteGen, DeterministicPerRank) {
   ServiceCatalog catalog2{eco2, 42};
   SiteUniverse universe2{eco2, catalog2};
 
-  const Website& a = universe1.site(17);
-  const Website& b = universe2.site(17);
+  const Website a = universe1.generate_site(17);
+  const Website b = universe2.generate_site(17);
   EXPECT_EQ(a.url, b.url);
   EXPECT_EQ(a.landing_domain, b.landing_domain);
   EXPECT_EQ(a.resources.size(), b.resources.size());
   EXPECT_EQ(total_requests(a), total_requests(b));
-  // Same object on repeated access.
-  EXPECT_EQ(&universe1.site(17), &universe1.site(17));
+  // Same site on repeated generation.
+  EXPECT_EQ(total_requests(universe1.generate_site(17)), total_requests(a));
 }
 
 TEST(SiteGen, SiteHasResolvableLandingDomain) {
   Ecosystem eco{42};
   ServiceCatalog catalog{eco, 42};
   SiteUniverse universe{eco, catalog};
-  const Website& site = universe.site(3);
+  const Website site = universe.generate_site(3);
   // Generated sites publish their DNS records through a per-site overlay
   // (the deployment), not the shared authority.
   ASSERT_NE(site.deployment, nullptr);
@@ -332,8 +332,8 @@ TEST(SiteGen, TopSitesEmbedMoreThanTailSites) {
   std::size_t top_requests = 0;
   std::size_t tail_requests = 0;
   for (std::size_t i = 0; i < 60; ++i) {
-    top_requests += total_requests(universe.site(i));
-    tail_requests += total_requests(universe.site(5000 + i));
+    top_requests += total_requests(universe.generate_site(i));
+    tail_requests += total_requests(universe.generate_site(5000 + i));
   }
   EXPECT_GT(top_requests, tail_requests);
 }

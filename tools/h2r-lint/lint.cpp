@@ -127,7 +127,6 @@ constexpr std::string_view kRuleIds[] = {
     "lock.guards",
     "lock.order",
     "order.unordered",
-    "policy.alias",
 };
 
 void add_finding(std::vector<Finding>& out, std::string_view path, int line,
@@ -391,21 +390,6 @@ void rule_atomic_mix(std::string_view path, const std::vector<Line>& lines,
   }
 }
 
-void rule_policy_alias(std::string_view path, const std::vector<Line>& lines,
-                       std::vector<Finding>& out) {
-  for (std::size_t idx = 0; idx < lines.size(); ++idx) {
-    const std::string& code = lines[idx].code;
-    if (has_ident(code, "ClassifyOptions")) {
-      add_finding(out, path, static_cast<int>(idx) + 1, "policy.alias",
-                  Severity::kWarning,
-                  "ClassifyOptions is a deprecated alias; new code should "
-                  "spell core::Policy (it carries the counterfactual knobs "
-                  "too)",
-                  code);
-    }
-  }
-}
-
 // ------------------------------------------------------------------ io
 
 util::Expected<Finding> finding_from_json(const json::Value& value) {
@@ -571,10 +555,6 @@ std::string explain_rule(std::string_view rule) {
        "that serializes or merges it leaks into reports. Use std::map / "
        "std::set or sort before output.",
        "// h2r-lint: allow(order.unordered) -- reason"},
-      {"policy.alias",
-       "ClassifyOptions is a deprecated alias of core::Policy kept for "
-       "source compatibility; new code should spell core::Policy.",
-       "// h2r-lint: allow(policy.alias) -- reason"},
   };
   for (const Entry& entry : kExplanations) {
     if (entry.id == rule) {
@@ -611,7 +591,6 @@ TreeReport scan_files(const std::vector<SourceFile>& files,
     rule_ordered_output(file.path, lines, raw);
     rule_lock_guards(file.path, lines, raw);
     rule_atomic_mix(file.path, lines, raw);
-    rule_policy_alias(file.path, lines, raw);
 
     if (options.contract) models.push_back(parse_file(file.path, lines));
     allows_by_path.emplace(file.path, std::move(allows));

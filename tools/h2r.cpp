@@ -55,12 +55,11 @@ int usage() {
                "usage:\n"
                "  h2r audit <page.har> [--json]\n"
                "  h2r study [--journal <path>] [--resume] [--json <out>]\n"
-               "            [--metrics <out>] [--stream] [--spill <dir>]\n"
+               "            [--metrics <out>] [--spill <dir>]\n"
                "            [--hist-budget <n>]\n"
                "  h2r replay [--proxy shared|worker|both] [--sites N]\n"
                "            [--json <out>] [--metrics <out>]\n"
-               "  h2r optimize [--sites N] [--json <out>] [--stream]\n"
-               "            [--spill <dir>]\n"
+               "  h2r optimize [--sites N] [--json <out>] [--spill <dir>]\n"
                "  h2r crawl <config.json> <landing-domain> [resource-domain...]\n"
                "  h2r dns-overlap <config.json> <domain-a> <domain-b>\n"
                "  h2r snapshot <out.json> [site-count]\n"
@@ -73,10 +72,8 @@ int usage() {
                "--resume) / H2R_SITE_DEADLINE_MS\n"
                "metrics:     H2R_METRICS (or --metrics) — write the "
                "deterministic metric snapshot as JSON\n"
-               "scale:       H2R_STREAM (or --stream) — bounded-memory "
-               "streaming crawl, bit-identical results\n"
-               "             H2R_SPILL (or --spill) — spill report windows "
-               "to <dir> and merge at the end (needs --stream/--journal)\n"
+               "scale:       H2R_SPILL (or --spill) — spill report windows "
+               "to <dir> and merge at the end\n"
                "             H2R_HIST_BUDGET (or --hist-budget) — cap every "
                "duration histogram at <n> bins\n"
                "optimize:    H2R_POLICY_DURATION (endless|immediate|exact) / "
@@ -175,8 +172,6 @@ int cmd_study(int argc, char** argv) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       config.metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      config.stream = true;
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
       config.spill_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--hist-budget") == 0 && i + 1 < argc) {
@@ -197,10 +192,6 @@ int cmd_study(int argc, char** argv) {
   if (!config.journal_path.empty()) {
     std::printf("journal: %s%s\n", config.journal_path.c_str(),
                 config.resume ? " (resuming)" : "");
-  }
-  if (config.stream) {
-    std::printf("streaming: bounded-memory crawl (results bit-identical to "
-                "materialized mode)\n");
   }
   if (!config.spill_dir.empty()) {
     std::printf("spill: report windows spill to %s\n",
@@ -305,8 +296,6 @@ int cmd_optimize(int argc, char** argv) {
       if (config.sites == 0) return usage();
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      config.stream = true;
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
       config.spill_dir = argv[++i];
     } else {
