@@ -78,7 +78,7 @@ struct BrowserOptions {
   /// Default (all rates 0) is bit-identical to a build without the fault
   /// layer. The per-site FaultPlan is derived from (faults.seed, browser
   /// seed, site url), so injected faults keep the crawl's determinism
-  /// contract: results are thread-count invariant even under faults.
+  /// contract, and results are thread-count invariant even under faults.
   fault::FaultConfig faults;
   /// Record the per-site span tree (DNS resolve -> TLS handshake -> H2
   /// session -> page load) into PageLoadResult::trace. Off by default —

@@ -177,29 +177,11 @@ class RankOrder final : public obs::Observer {
 }  // namespace
 
 void CrawlSummary::merge(const CrawlSummary& shard) {
-  sites_visited += shard.sites_visited;
-  sites_unreachable += shard.sites_unreachable;
-  connections_opened += shard.connections_opened;
-  group_reuses += shard.group_reuses;
-  alias_reuses += shard.alias_reuses;
-  origin_frame_reuses += shard.origin_frame_reuses;
-  misdirected_retries += shard.misdirected_retries;
-  failures.add(shard.failures);
-  har_stats.add(shard.har_stats);
-  per_worker.insert(per_worker.end(), shard.per_worker.begin(),
-                    shard.per_worker.end());
+  util::merge_fields(*this, shard);
 }
 
 bool CrawlSummary::operator==(const CrawlSummary& other) const {
-  return sites_visited == other.sites_visited &&
-         sites_unreachable == other.sites_unreachable &&
-         connections_opened == other.connections_opened &&
-         group_reuses == other.group_reuses &&
-         alias_reuses == other.alias_reuses &&
-         origin_frame_reuses == other.origin_frame_reuses &&
-         misdirected_retries == other.misdirected_retries &&
-         failures == other.failures &&
-         har_stats == other.har_stats;
+  return util::fields_equal(*this, other);
 }
 
 CrawlSummary crawl(web::SiteUniverse& universe, std::size_t first_rank,

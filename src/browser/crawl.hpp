@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "browser/browser.hpp"
@@ -24,6 +25,7 @@
 #include "har/export.hpp"
 #include "har/import.hpp"
 #include "obs/observer.hpp"
+#include "util/fields.hpp"
 #include "web/sitegen.hpp"
 
 namespace h2r::browser {
@@ -101,14 +103,13 @@ struct CrawlSummary {
   fault::FailureSummary failures;
   har::ImportStats har_stats;
 
-  /// One entry per worker (index = worker id). Diagnostics only.
-  // contract: exclude(eq, codec) -- scheduling diagnostic: which worker
-  // claimed which chunk is timing-dependent; merge still concatenates it
+  /// One entry per worker (index = worker id). Diagnostics only: which
+  /// worker claimed which chunk is timing-dependent, so the table merges
+  /// (concatenates) it but never compares or serializes it.
   std::vector<WorkerCounters> per_worker;
   /// Wall time of the whole crawl (for crawl_range, including the
-  /// ordered sink drain). Diagnostics only.
-  // contract: diagnostic -- real-clock reading, quarantined from the
-  // determinism contract (not merged, compared, or checkpointed)
+  /// ordered sink drain). A real-clock reading, quarantined from the
+  /// determinism contract: not merged, compared or serialized.
   double wall_ms = 0.0;
 
   /// Folds a shard (another worker's or campaign's summary) into this
@@ -119,6 +120,24 @@ struct CrawlSummary {
   /// scheduling diagnostics and intentionally ignored.
   bool operator==(const CrawlSummary& other) const;
 };
+
+/// Field table (util/fields.hpp).
+auto fields(util::RecordOf<CrawlSummary> auto& s) {
+  auto& [sites_visited, sites_unreachable, connections_opened, group_reuses,
+         alias_reuses, origin_frame_reuses, misdirected_retries, failures,
+         har_stats, per_worker, wall_ms] = s;
+  using util::row;
+  return std::tuple(row("sites_visited", sites_visited),
+                    row("sites_unreachable", sites_unreachable),
+                    row("connections_opened", connections_opened),
+                    row("group_reuses", group_reuses),
+                    row("alias_reuses", alias_reuses),
+                    row("origin_frame_reuses", origin_frame_reuses),
+                    row("misdirected_retries", misdirected_retries),
+                    row("failures", failures), row("har_stats", har_stats),
+                    row<util::kMerged>("per_worker", per_worker),
+                    row<util::kNone>("wall_ms", wall_ms));
+}
 
 /// THE crawl entry point: visits ranks [first_rank, first_rank + count)
 /// (or the subset in options.targets), reporting every observation

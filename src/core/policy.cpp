@@ -63,17 +63,6 @@ Policy Policy::from_env() {
   return p;
 }
 
-bool operator==(const Policy& a, const Policy& b) noexcept {
-  // Field-by-field, not via mask(): mask() packs exactly the four knob
-  // bits today, but a comparison routed through it would silently ignore
-  // any future field that is not a knob — the exact gap
-  // contract.eq-coverage exists to catch.
-  return a.duration == b.duration && a.horizon == b.horizon &&
-         a.origin_frame == b.origin_frame && a.sync_dns == b.sync_dns &&
-         a.cert_consolidation == b.cert_consolidation &&
-         a.ignore_credentials == b.ignore_credentials;
-}
-
 std::string_view to_string(PolicyKnob knob) {
   switch (knob) {
     case kKnobOriginFrame: return "origin_frame";

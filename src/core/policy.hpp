@@ -80,9 +80,11 @@ struct Policy {
   /// Reads H2R_POLICY_DURATION (endless|immediate|exact) and the four
   /// H2R_POLICY_* knob flags. Unset flags stay off.
   static Policy from_env();
-};
 
-bool operator==(const Policy& a, const Policy& b) noexcept;
+  /// Every field, duration and horizon included: two distinct policy
+  /// points never compare equal.
+  bool operator==(const Policy&) const = default;
+};
 
 /// Short name of a single knob bit ("origin_frame", ...); knob must be one
 /// PolicyKnob value.

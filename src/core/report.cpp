@@ -38,73 +38,11 @@ void PolicyTally::add_site(const SiteClassification& baseline,
 }
 
 void PolicyTally::merge(const PolicyTally& shard) {
-  sites += shard.sites;
-  baseline_connections += shard.baseline_connections;
-  baseline_redundant += shard.baseline_redundant;
-  recovered += shard.recovered;
-  remaining_redundant += shard.remaining_redundant;
-  for (const auto& [cause, count] : shard.remaining_by_cause) {
-    remaining_by_cause[cause] += count;
-  }
-  for (const auto& [name, count] : shard.recovered_by_operator) {
-    recovered_by_operator[name] += count;
-  }
+  util::merge_fields(*this, shard);
 }
 
 void AggregateReport::merge(const AggregateReport& shard) {
-  analyzed_sites += shard.analyzed_sites;
-  h2_sites += shard.h2_sites;
-  redundant_sites += shard.redundant_sites;
-  total_connections += shard.total_connections;
-  redundant_connections += shard.redundant_connections;
-  filtered_requests += shard.filtered_requests;
-
-  for (const auto& [cause, tally] : shard.by_cause) {
-    CauseTally& dst = by_cause[cause];
-    dst.sites += tally.sites;
-    dst.connections += tally.connections;
-  }
-  for (const auto& [count, sites] : shard.redundant_per_site_histogram) {
-    redundant_per_site_histogram[count] += sites;
-  }
-
-  auto merge_origins = [](std::map<std::string, OriginTally>& dst_map,
-                          const std::map<std::string, OriginTally>& src_map) {
-    for (const auto& [origin, tally] : src_map) {
-      OriginTally& dst = dst_map[origin];
-      dst.connections += tally.connections;
-      for (const auto& [prev, count] : tally.previous_origins) {
-        dst.previous_origins[prev] += count;
-      }
-      if (dst.issuer.empty()) dst.issuer = tally.issuer;
-    }
-  };
-  merge_origins(ip_origins, shard.ip_origins);
-  merge_origins(cert_domains, shard.cert_domains);
-
-  auto merge_issuers = [](std::map<std::string, IssuerTally>& dst_map,
-                          const std::map<std::string, IssuerTally>& src_map) {
-    for (const auto& [issuer, tally] : src_map) {
-      IssuerTally& dst = dst_map[issuer];
-      dst.connections += tally.connections;
-      dst.domains.insert(tally.domains.begin(), tally.domains.end());
-    }
-  };
-  merge_issuers(cert_issuers, shard.cert_issuers);
-  merge_issuers(all_issuers, shard.all_issuers);
-
-  for (const auto& [as_name, tally] : shard.ip_ases) {
-    AsTally& dst = ip_ases[as_name];
-    dst.connections += tally.connections;
-    dst.domains.insert(tally.domains.begin(), tally.domains.end());
-  }
-
-  closed_connections += shard.closed_connections;
-  closed_lifetimes_ms.merge(shard.closed_lifetimes_ms);
-  cred_same_domain_connections += shard.cred_same_domain_connections;
-  for (const auto& [cause, histogram] : shard.redundant_open_offsets) {
-    redundant_open_offsets[cause].merge(histogram);
-  }
+  util::merge_fields(*this, shard);
 }
 
 std::uint64_t AggregateReport::sites_with_at_least(

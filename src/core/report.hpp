@@ -7,12 +7,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "asdb/asdb.hpp"
 #include "core/classify.hpp"
 #include "core/connection.hpp"
 #include "stats/distribution.hpp"
+#include "util/fields.hpp"
 
 namespace h2r::core {
 
@@ -22,6 +24,13 @@ struct CauseTally {
 
   bool operator==(const CauseTally&) const = default;
 };
+
+/// Field tables (util/fields.hpp) of the report and its tallies.
+auto fields(util::RecordOf<CauseTally> auto& t) {
+  auto& [sites, connections] = t;
+  return std::tuple(util::row("sites", sites),
+                    util::row("connections", connections));
+}
 
 /// Order-independent sample multiset (see stats::TimeHistogram) — the
 /// representation that keeps shard-merged reports bit-identical to
@@ -39,6 +48,16 @@ struct OriginTally {
   bool operator==(const OriginTally&) const = default;
 };
 
+/// Rows in JSON key order, not declaration order. Merging keeps the
+/// first non-empty issuer: the simulation guarantees one issuer per
+/// domain.
+auto fields(util::RecordOf<OriginTally> auto& t) {
+  auto& [connections, previous_origins, issuer] = t;
+  return std::tuple(util::row("connections", connections),
+                    util::row("issuer", issuer),
+                    util::row("previous", previous_origins));
+}
+
 struct IssuerTally {
   std::uint64_t connections = 0;
   std::set<std::string> domains;
@@ -46,12 +65,24 @@ struct IssuerTally {
   bool operator==(const IssuerTally&) const = default;
 };
 
+auto fields(util::RecordOf<IssuerTally> auto& t) {
+  auto& [connections, domains] = t;
+  return std::tuple(util::row("connections", connections),
+                    util::row("domains", domains));
+}
+
 struct AsTally {
   std::uint64_t connections = 0;
   std::set<std::string> domains;
 
   bool operator==(const AsTally&) const = default;
 };
+
+auto fields(util::RecordOf<AsTally> auto& t) {
+  auto& [connections, domains] = t;
+  return std::tuple(util::row("connections", connections),
+                    util::row("domains", domains));
+}
 
 struct AggregateReport {
   // Site-level headline numbers (§5.1).
@@ -104,8 +135,7 @@ struct AggregateReport {
   /// Folds another shard into this report. Every field is a commutative
   /// sum / map-sum / set-union, so merging any partition of the same site
   /// set in any order produces the same report as single-pass
-  /// accumulation (OriginTally::issuer assumes what the simulation
-  /// guarantees: one issuer per domain — the first non-empty value wins).
+  /// accumulation.
   void merge(const AggregateReport& shard);
 
   bool operator==(const AggregateReport&) const = default;
@@ -118,6 +148,28 @@ struct AggregateReport {
   /// the complementary cumulative distribution of this).
   std::uint64_t sites_with_at_least(std::size_t n) const noexcept;
 };
+
+auto fields(util::RecordOf<AggregateReport> auto& r) {
+  auto& [analyzed_sites, h2_sites, redundant_sites, total_connections,
+         redundant_connections, filtered_requests, by_cause,
+         redundant_per_site_histogram, ip_origins, cert_domains, cert_issuers,
+         all_issuers, ip_ases, closed_connections, closed_lifetimes_ms,
+         cred_same_domain_connections, redundant_open_offsets] = r;
+  using util::row;
+  return std::tuple(
+      row("analyzed_sites", analyzed_sites), row("h2_sites", h2_sites),
+      row("redundant_sites", redundant_sites),
+      row("total_connections", total_connections),
+      row("redundant_connections", redundant_connections),
+      row("filtered_requests", filtered_requests), row("causes", by_cause),
+      row("redundant_per_site", redundant_per_site_histogram),
+      row("ip_origins", ip_origins), row("cert_domains", cert_domains),
+      row("cert_issuers", cert_issuers), row("all_issuers", all_issuers),
+      row("ip_ases", ip_ases), row("closed_connections", closed_connections),
+      row("closed_lifetimes_ms", closed_lifetimes_ms),
+      row("cred_same_domain_connections", cred_same_domain_connections),
+      row("redundant_open_offsets", redundant_open_offsets));
+}
 
 /// Per-policy replay totals (DESIGN §14): what one counterfactual policy
 /// point recovered across a site set. Deliberately small — the optimizer
@@ -147,6 +199,19 @@ struct PolicyTally {
 
   bool operator==(const PolicyTally&) const = default;
 };
+
+auto fields(util::RecordOf<PolicyTally> auto& t) {
+  auto& [sites, baseline_connections, baseline_redundant, recovered,
+         remaining_redundant, remaining_by_cause, recovered_by_operator] = t;
+  using util::row;
+  return std::tuple(row("sites", sites),
+                    row("baseline_connections", baseline_connections),
+                    row("baseline_redundant", baseline_redundant),
+                    row("recovered", recovered),
+                    row("remaining_redundant", remaining_redundant),
+                    row("remaining_by_cause", remaining_by_cause),
+                    row("recovered_by_operator", recovered_by_operator));
+}
 
 /// Streaming aggregator: feed (observation, classification) pairs, read the
 /// report at the end. The AS database is optional; without it the AS table

@@ -5,16 +5,9 @@ namespace h2r::core {
 namespace {
 
 json::Value cause_tally_json(const AggregateReport& report, Cause cause) {
-  json::Object obj;
   const auto it = report.by_cause.find(cause);
-  obj.set("sites", it == report.by_cause.end()
-                       ? std::int64_t{0}
-                       : static_cast<std::int64_t>(it->second.sites));
-  obj.set("connections",
-          it == report.by_cause.end()
-              ? std::int64_t{0}
-              : static_cast<std::int64_t>(it->second.connections));
-  return json::Value{std::move(obj)};
+  return json::encode(it == report.by_cause.end() ? CauseTally{}
+                                                  : it->second);
 }
 
 json::Value origin_table_json(const std::map<std::string, OriginTally>& table,
@@ -36,110 +29,20 @@ json::Value origin_table_json(const std::map<std::string, OriginTally>& table,
   return json::Value{std::move(rows)};
 }
 
-json::Value issuer_table_json(const std::map<std::string, IssuerTally>& table,
-                              std::size_t top_n) {
+/// Issuer and AS rows: `name_key` names the row, then its connection
+/// count and distinct-domain count.
+template <typename Tally>
+json::Value domains_table_json(const std::map<std::string, Tally>& table,
+                               std::size_t top_n, const char* name_key) {
   json::Array rows;
-  for (const auto& [issuer, tally] : top_k(table, top_n)) {
+  for (const auto& [name, tally] : top_k(table, top_n)) {
     json::Object row;
-    row.set("issuer", issuer);
+    row.set(name_key, name);
     row.set("connections", static_cast<std::int64_t>(tally->connections));
     row.set("domains", static_cast<std::int64_t>(tally->domains.size()));
     rows.emplace_back(std::move(row));
   }
   return json::Value{std::move(rows)};
-}
-
-// ---------------------------------------------------------------- full
-// fidelity (journal) serialization: every map in AggregateReport survives
-// the round trip bit for bit, so a crash-recovered shard merges exactly
-// like the in-memory one it replaces.
-
-/// Strict counter read: the field must exist, be a JSON integer (doubles,
-/// NaN and out-of-int64-range literals parse as kDouble and are rejected)
-/// and be non-negative.
-util::Expected<std::uint64_t> parse_count(const json::Value& value,
-                                          std::string_view key) {
-  const json::Value& field = value[key];
-  if (!field.is_int() || field.as_int() < 0) {
-    return util::unexpected(
-        util::Error{"bad or missing counter: " + std::string(key)});
-  }
-  return static_cast<std::uint64_t>(field.as_int());
-}
-
-util::Expected<Cause> cause_from_string(const std::string& name) {
-  for (Cause cause : kAllCauses) {
-    if (to_string(cause) == name) return cause;
-  }
-  return util::unexpected(util::Error{"unknown cause: " + name});
-}
-
-json::Value origin_tally_full_json(const OriginTally& tally) {
-  json::Object obj;
-  obj.set("connections", static_cast<std::int64_t>(tally.connections));
-  obj.set("issuer", tally.issuer);
-  json::Object previous;
-  for (const auto& [origin, count] : tally.previous_origins) {
-    previous.set(origin, static_cast<std::int64_t>(count));
-  }
-  obj.set("previous", std::move(previous));
-  return json::Value{std::move(obj)};
-}
-
-util::Expected<OriginTally> origin_tally_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return util::unexpected(util::Error{"origin tally is not an object"});
-  }
-  OriginTally tally;
-  const auto connections = parse_count(value, "connections");
-  if (!connections) return util::unexpected(connections.error());
-  tally.connections = *connections;
-  if (!value["issuer"].is_string()) {
-    return util::unexpected(util::Error{"origin tally without issuer"});
-  }
-  tally.issuer = value["issuer"].as_string();
-  if (!value["previous"].is_object()) {
-    return util::unexpected(util::Error{"origin tally without previous map"});
-  }
-  for (const auto& [origin, count] : value["previous"].as_object()) {
-    if (!count.is_int() || count.as_int() <= 0) {
-      return util::unexpected(
-          util::Error{"bad previous-origin count for " + origin});
-    }
-    tally.previous_origins[origin] = static_cast<std::uint64_t>(count.as_int());
-  }
-  return tally;
-}
-
-template <typename Tally>
-json::Value domains_tally_full_json(const Tally& tally) {
-  json::Object obj;
-  obj.set("connections", static_cast<std::int64_t>(tally.connections));
-  json::Array domains;
-  for (const std::string& domain : tally.domains) domains.emplace_back(domain);
-  obj.set("domains", std::move(domains));
-  return json::Value{std::move(obj)};
-}
-
-template <typename Tally>
-util::Expected<Tally> domains_tally_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return util::unexpected(util::Error{"tally is not an object"});
-  }
-  Tally tally;
-  const auto connections = parse_count(value, "connections");
-  if (!connections) return util::unexpected(connections.error());
-  tally.connections = *connections;
-  if (!value["domains"].is_array()) {
-    return util::unexpected(util::Error{"tally without domains array"});
-  }
-  for (const json::Value& domain : value["domains"].as_array()) {
-    if (!domain.is_string()) {
-      return util::unexpected(util::Error{"non-string tally domain"});
-    }
-    tally.domains.insert(domain.as_string());
-  }
-  return tally;
 }
 
 }  // namespace
@@ -230,53 +133,12 @@ util::Expected<stats::TimeHistogram> histogram_from_json(
 
 util::Expected<fault::FailureSummary> failure_summary_from_json(
     const json::Value& value) {
-  if (!value.is_object()) {
-    return util::unexpected(util::Error{"failure summary is not an object"});
-  }
-  fault::FailureSummary summary;
-  const json::Value& injected = value["injected"];
-  if (!injected.is_object()) {
-    return util::unexpected(util::Error{"failure summary without injected"});
-  }
-  for (std::size_t i = 0; i < fault::kFaultKindCount; ++i) {
-    const fault::FaultKind kind = static_cast<fault::FaultKind>(i);
-    const auto count = parse_count(injected, fault::to_string(kind));
-    if (!count) return util::unexpected(count.error());
-    summary.count(kind) = *count;
-  }
-  const std::pair<const char*, std::uint64_t fault::FailureSummary::*>
-      counters[] = {
-          {"fetch_attempts", &fault::FailureSummary::fetch_attempts},
-          {"successful_fetches", &fault::FailureSummary::successful_fetches},
-          {"failed_fetches", &fault::FailureSummary::failed_fetches},
-          {"retries", &fault::FailureSummary::retries},
-          {"retry_successes", &fault::FailureSummary::retry_successes},
-          {"degraded_resources", &fault::FailureSummary::degraded_resources},
-          {"degraded_sites", &fault::FailureSummary::degraded_sites},
-          {"deadline_exceeded", &fault::FailureSummary::deadline_exceeded},
-          {"pool_stale_handouts", &fault::FailureSummary::pool_stale_handouts},
-          {"pool_connect_failures",
-           &fault::FailureSummary::pool_connect_failures},
-          {"pool_connect_abandoned",
-           &fault::FailureSummary::pool_connect_abandoned},
-          {"pool_dead_discards", &fault::FailureSummary::pool_dead_discards},
-          {"pool_idle_evictions", &fault::FailureSummary::pool_idle_evictions},
-          {"pool_cap_evictions", &fault::FailureSummary::pool_cap_evictions},
-          {"pool_breaker_rejected",
-           &fault::FailureSummary::pool_breaker_rejected},
-          {"pool_breaker_opens", &fault::FailureSummary::pool_breaker_opens},
-      };
-  for (const auto& [key, member] : counters) {
-    const auto count = parse_count(value, key);
-    if (!count) return util::unexpected(count.error());
-    summary.*member = *count;
-  }
-  return summary;
+  return json::decode<fault::FailureSummary>(value, "FailureSummary");
 }
 
 json::Value report_to_json(const AggregateReport& report,
                            const ReportJsonOptions& options) {
-  const bool full = options.fidelity == Fidelity::kFull;
+  if (options.fidelity == Fidelity::kFull) return json::encode(report);
   const std::size_t top_n = options.top_n;
   json::Object root;
   root.set("analyzed_sites", static_cast<std::int64_t>(report.analyzed_sites));
@@ -290,239 +152,45 @@ json::Value report_to_json(const AggregateReport& report,
   root.set("filtered_requests",
            static_cast<std::int64_t>(report.filtered_requests));
 
-  // Causes: the full shape emits exactly the tallies present (lossless),
-  // the truncated shape always emits the paper's three columns, zeros
-  // included, so CI diffs line up across runs.
-  if (full) {
-    json::Object causes;
-    for (const auto& [cause, tally] : report.by_cause) {
-      json::Object obj;
-      obj.set("sites", static_cast<std::int64_t>(tally.sites));
-      obj.set("connections", static_cast<std::int64_t>(tally.connections));
-      causes.set(to_string(cause), std::move(obj));
-    }
-    root.set("causes", std::move(causes));
-  } else {
-    json::Object causes;
-    causes.set("CERT", cause_tally_json(report, Cause::kCert));
-    causes.set("IP", cause_tally_json(report, Cause::kIp));
-    causes.set("CRED", cause_tally_json(report, Cause::kCred));
-    root.set("causes", std::move(causes));
-  }
+  // Always the paper's three cause columns, zeros included, so CI diffs
+  // line up across runs.
+  json::Object causes;
+  causes.set("CERT", cause_tally_json(report, Cause::kCert));
+  causes.set("IP", cause_tally_json(report, Cause::kIp));
+  causes.set("CRED", cause_tally_json(report, Cause::kCred));
+  root.set("causes", std::move(causes));
 
-  // Figure 2 histogram: compact [count, sites] pairs in the full shape,
-  // self-describing objects in the human-facing one.
+  // Figure 2 histogram as self-describing objects.
   json::Array histogram;
   for (const auto& [count, sites] : report.redundant_per_site_histogram) {
-    if (full) {
-      json::Array pair;
-      pair.emplace_back(static_cast<std::int64_t>(count));
-      pair.emplace_back(static_cast<std::int64_t>(sites));
-      histogram.emplace_back(std::move(pair));
-    } else {
-      json::Object bucket;
-      bucket.set("redundant_connections", static_cast<std::int64_t>(count));
-      bucket.set("sites", static_cast<std::int64_t>(sites));
-      histogram.emplace_back(std::move(bucket));
-    }
+    json::Object bucket;
+    bucket.set("redundant_connections", static_cast<std::int64_t>(count));
+    bucket.set("sites", static_cast<std::int64_t>(sites));
+    histogram.emplace_back(std::move(bucket));
   }
   root.set("redundant_per_site", std::move(histogram));
 
-  // Attribution tables: complete maps (full) vs top-N row arrays.
-  if (full) {
-    auto origin_map = [](const std::map<std::string, OriginTally>& table) {
-      json::Object obj;
-      for (const auto& [origin, tally] : table) {
-        obj.set(origin, origin_tally_full_json(tally));
-      }
-      return json::Value{std::move(obj)};
-    };
-    root.set("ip_origins", origin_map(report.ip_origins));
-    root.set("cert_domains", origin_map(report.cert_domains));
-
-    auto issuer_map = [](const std::map<std::string, IssuerTally>& table) {
-      json::Object obj;
-      for (const auto& [issuer, tally] : table) {
-        obj.set(issuer, domains_tally_full_json(tally));
-      }
-      return json::Value{std::move(obj)};
-    };
-    root.set("cert_issuers", issuer_map(report.cert_issuers));
-    root.set("all_issuers", issuer_map(report.all_issuers));
-
-    json::Object ases;
-    for (const auto& [as_name, tally] : report.ip_ases) {
-      ases.set(as_name, domains_tally_full_json(tally));
-    }
-    root.set("ip_ases", std::move(ases));
-  } else {
-    root.set("ip_origins", origin_table_json(report.ip_origins, top_n));
-    root.set("cert_domains", origin_table_json(report.cert_domains, top_n));
-    root.set("cert_issuers", issuer_table_json(report.cert_issuers, top_n));
-    root.set("all_issuers", issuer_table_json(report.all_issuers, top_n));
-
-    json::Array ases;
-    for (const auto& [as_name, tally] : top_k(report.ip_ases, top_n)) {
-      json::Object row;
-      row.set("as", as_name);
-      row.set("connections", static_cast<std::int64_t>(tally->connections));
-      row.set("domains", static_cast<std::int64_t>(tally->domains.size()));
-      ases.emplace_back(std::move(row));
-    }
-    root.set("ip_ases", std::move(ases));
-  }
+  // Attribution tables as top-N row arrays.
+  root.set("ip_origins", origin_table_json(report.ip_origins, top_n));
+  root.set("cert_domains", origin_table_json(report.cert_domains, top_n));
+  root.set("cert_issuers",
+           domains_table_json(report.cert_issuers, top_n, "issuer"));
+  root.set("all_issuers",
+           domains_table_json(report.all_issuers, top_n, "issuer"));
+  root.set("ip_ases", domains_table_json(report.ip_ases, top_n, "as"));
 
   root.set("closed_connections",
            static_cast<std::int64_t>(report.closed_connections));
-  if (full) {
-    root.set("closed_lifetimes_ms",
-             histogram_to_json(report.closed_lifetimes_ms));
-  } else if (const auto median = report.median_closed_lifetime()) {
+  if (const auto median = report.median_closed_lifetime()) {
     root.set("median_closed_lifetime_ms", static_cast<std::int64_t>(*median));
   }
   root.set("cred_same_domain_connections",
            static_cast<std::int64_t>(report.cred_same_domain_connections));
-
-  if (full) {
-    json::Object offsets;
-    for (const auto& [cause, samples] : report.redundant_open_offsets) {
-      offsets.set(to_string(cause), histogram_to_json(samples));
-    }
-    root.set("redundant_open_offsets", std::move(offsets));
-  }
   return json::Value{std::move(root)};
 }
 
 util::Expected<AggregateReport> report_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return util::unexpected(util::Error{"report is not an object"});
-  }
-  AggregateReport report;
-  {
-    const std::pair<const char*, std::uint64_t AggregateReport::*>
-        counters[] = {
-            {"analyzed_sites", &AggregateReport::analyzed_sites},
-            {"h2_sites", &AggregateReport::h2_sites},
-            {"redundant_sites", &AggregateReport::redundant_sites},
-            {"total_connections", &AggregateReport::total_connections},
-            {"redundant_connections", &AggregateReport::redundant_connections},
-            {"filtered_requests", &AggregateReport::filtered_requests},
-            {"closed_connections", &AggregateReport::closed_connections},
-            {"cred_same_domain_connections",
-             &AggregateReport::cred_same_domain_connections},
-        };
-    for (const auto& [key, member] : counters) {
-      const auto count = parse_count(value, key);
-      if (!count) return util::unexpected(count.error());
-      report.*member = *count;
-    }
-  }
-
-  if (!value["causes"].is_object()) {
-    return util::unexpected(util::Error{"report without causes"});
-  }
-  for (const auto& [name, tally] : value["causes"].as_object()) {
-    const auto cause = cause_from_string(name);
-    if (!cause) return util::unexpected(cause.error());
-    const auto sites = parse_count(tally, "sites");
-    if (!sites) return util::unexpected(sites.error());
-    const auto connections = parse_count(tally, "connections");
-    if (!connections) return util::unexpected(connections.error());
-    report.by_cause[*cause] = CauseTally{*sites, *connections};
-  }
-
-  if (!value["redundant_per_site"].is_array()) {
-    return util::unexpected(util::Error{"report without redundant_per_site"});
-  }
-  for (const json::Value& pair : value["redundant_per_site"].as_array()) {
-    if (!pair.is_array() || pair.as_array().size() != 2 ||
-        !pair.at(0).is_int() || pair.at(0).as_int() < 0 ||
-        !pair.at(1).is_int() || pair.at(1).as_int() <= 0) {
-      return util::unexpected(util::Error{"bad redundant_per_site bucket"});
-    }
-    const std::size_t bucket = static_cast<std::size_t>(pair.at(0).as_int());
-    if (report.redundant_per_site_histogram.count(bucket) > 0) {
-      return util::unexpected(
-          util::Error{"duplicate redundant_per_site bucket"});
-    }
-    report.redundant_per_site_histogram[bucket] =
-        static_cast<std::uint64_t>(pair.at(1).as_int());
-  }
-
-  auto parse_origin_map = [](const json::Value& table,
-                             std::map<std::string, OriginTally>& out)
-      -> util::Expected<bool> {
-    if (!table.is_object()) {
-      return util::unexpected(util::Error{"origin table is not an object"});
-    }
-    for (const auto& [origin, tally] : table.as_object()) {
-      auto parsed = origin_tally_from_json(tally);
-      if (!parsed) return util::unexpected(parsed.error());
-      out[origin] = std::move(parsed.value());
-    }
-    return true;
-  };
-  if (const auto ok = parse_origin_map(value["ip_origins"],
-                                       report.ip_origins);
-      !ok) {
-    return util::unexpected(ok.error());
-  }
-  if (const auto ok = parse_origin_map(value["cert_domains"],
-                                       report.cert_domains);
-      !ok) {
-    return util::unexpected(ok.error());
-  }
-
-  auto parse_issuer_map = [](const json::Value& table,
-                             std::map<std::string, IssuerTally>& out)
-      -> util::Expected<bool> {
-    if (!table.is_object()) {
-      return util::unexpected(util::Error{"issuer table is not an object"});
-    }
-    for (const auto& [issuer, tally] : table.as_object()) {
-      auto parsed = domains_tally_from_json<IssuerTally>(tally);
-      if (!parsed) return util::unexpected(parsed.error());
-      out[issuer] = std::move(parsed.value());
-    }
-    return true;
-  };
-  if (const auto ok = parse_issuer_map(value["cert_issuers"],
-                                       report.cert_issuers);
-      !ok) {
-    return util::unexpected(ok.error());
-  }
-  if (const auto ok = parse_issuer_map(value["all_issuers"],
-                                       report.all_issuers);
-      !ok) {
-    return util::unexpected(ok.error());
-  }
-
-  if (!value["ip_ases"].is_object()) {
-    return util::unexpected(util::Error{"report without ip_ases"});
-  }
-  for (const auto& [as_name, tally] : value["ip_ases"].as_object()) {
-    auto parsed = domains_tally_from_json<AsTally>(tally);
-    if (!parsed) return util::unexpected(parsed.error());
-    report.ip_ases[as_name] = std::move(parsed.value());
-  }
-
-  auto lifetimes = histogram_from_json(value["closed_lifetimes_ms"]);
-  if (!lifetimes) return util::unexpected(lifetimes.error());
-  report.closed_lifetimes_ms = std::move(lifetimes.value());
-
-  if (!value["redundant_open_offsets"].is_object()) {
-    return util::unexpected(
-        util::Error{"report without redundant_open_offsets"});
-  }
-  for (const auto& [name, samples] :
-       value["redundant_open_offsets"].as_object()) {
-    const auto cause = cause_from_string(name);
-    if (!cause) return util::unexpected(cause.error());
-    auto histogram = histogram_from_json(samples);
-    if (!histogram) return util::unexpected(histogram.error());
-    report.redundant_open_offsets[*cause] = std::move(histogram.value());
-  }
-  return report;
+  return json::decode<AggregateReport>(value, "AggregateReport");
 }
 
 json::Value to_json(const SiteClassification& classification) {
@@ -568,78 +236,6 @@ json::Value to_json(const SiteClassification& classification) {
   return json::Value{std::move(root)};
 }
 
-json::Value to_json(const PolicyTally& tally) {
-  json::Object root;
-  root.set("sites", static_cast<std::int64_t>(tally.sites));
-  root.set("baseline_connections",
-           static_cast<std::int64_t>(tally.baseline_connections));
-  root.set("baseline_redundant",
-           static_cast<std::int64_t>(tally.baseline_redundant));
-  root.set("recovered", static_cast<std::int64_t>(tally.recovered));
-  root.set("remaining_redundant",
-           static_cast<std::int64_t>(tally.remaining_redundant));
-  json::Object by_cause;
-  for (const auto& [cause, count] : tally.remaining_by_cause) {
-    by_cause.set(to_string(cause), static_cast<std::int64_t>(count));
-  }
-  root.set("remaining_by_cause", std::move(by_cause));
-  json::Object by_operator;
-  for (const auto& [name, count] : tally.recovered_by_operator) {
-    by_operator.set(name, static_cast<std::int64_t>(count));
-  }
-  root.set("recovered_by_operator", std::move(by_operator));
-  return json::Value{std::move(root)};
-}
-
-util::Expected<PolicyTally> policy_tally_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return util::unexpected(util::Error{"policy tally must be an object"});
-  }
-  PolicyTally tally;
-  for (const auto& [field, dst] :
-       std::initializer_list<std::pair<const char*, std::uint64_t*>>{
-           {"sites", &tally.sites},
-           {"baseline_connections", &tally.baseline_connections},
-           {"baseline_redundant", &tally.baseline_redundant},
-           {"recovered", &tally.recovered},
-           {"remaining_redundant", &tally.remaining_redundant}}) {
-    const json::Value& v = value[field];
-    if (!v.is_int() || v.as_int() < 0) {
-      return util::unexpected(
-          util::Error{std::string("policy tally field '") + field +
-                      "' must be a non-negative integer"});
-    }
-    *dst = static_cast<std::uint64_t>(v.as_int());
-  }
-  const json::Value& by_cause = value["remaining_by_cause"];
-  if (!by_cause.is_object()) {
-    return util::unexpected(
-        util::Error{"policy tally without remaining_by_cause"});
-  }
-  for (const auto& [name, count] : by_cause.as_object()) {
-    auto cause = cause_from_string(name);
-    if (!cause) return util::unexpected(cause.error());
-    if (!count.is_int() || count.as_int() < 0) {
-      return util::unexpected(util::Error{"bad policy tally cause count"});
-    }
-    tally.remaining_by_cause[*cause] =
-        static_cast<std::uint64_t>(count.as_int());
-  }
-  const json::Value& by_operator = value["recovered_by_operator"];
-  if (!by_operator.is_object()) {
-    return util::unexpected(
-        util::Error{"policy tally without recovered_by_operator"});
-  }
-  for (const auto& [name, count] : by_operator.as_object()) {
-    if (!count.is_int() || count.as_int() < 0) {
-      return util::unexpected(util::Error{"bad policy tally operator count"});
-    }
-    tally.recovered_by_operator[name] =
-        static_cast<std::uint64_t>(count.as_int());
-  }
-  return tally;
-}
-
 json::Value to_json(const AuditReport& report) {
   json::Object root;
   root.set("site", report.site_url);
@@ -674,46 +270,23 @@ json::Value to_json(const AuditReport& report) {
 }
 
 json::Value to_json(const fault::FailureSummary& summary) {
-  json::Object injected;
-  for (std::size_t i = 0; i < fault::kFaultKindCount; ++i) {
-    const fault::FaultKind kind = static_cast<fault::FaultKind>(i);
-    injected.set(fault::to_string(kind),
-                 static_cast<std::int64_t>(summary.count(kind)));
-  }
-  json::Object root;
-  root.set("injected", std::move(injected));
-  root.set("fetch_attempts",
-           static_cast<std::int64_t>(summary.fetch_attempts));
-  root.set("successful_fetches",
-           static_cast<std::int64_t>(summary.successful_fetches));
-  root.set("failed_fetches",
-           static_cast<std::int64_t>(summary.failed_fetches));
-  root.set("retries", static_cast<std::int64_t>(summary.retries));
-  root.set("retry_successes",
-           static_cast<std::int64_t>(summary.retry_successes));
-  root.set("degraded_resources",
-           static_cast<std::int64_t>(summary.degraded_resources));
-  root.set("degraded_sites",
-           static_cast<std::int64_t>(summary.degraded_sites));
-  root.set("deadline_exceeded",
-           static_cast<std::int64_t>(summary.deadline_exceeded));
-  root.set("pool_stale_handouts",
-           static_cast<std::int64_t>(summary.pool_stale_handouts));
-  root.set("pool_connect_failures",
-           static_cast<std::int64_t>(summary.pool_connect_failures));
-  root.set("pool_connect_abandoned",
-           static_cast<std::int64_t>(summary.pool_connect_abandoned));
-  root.set("pool_dead_discards",
-           static_cast<std::int64_t>(summary.pool_dead_discards));
-  root.set("pool_idle_evictions",
-           static_cast<std::int64_t>(summary.pool_idle_evictions));
-  root.set("pool_cap_evictions",
-           static_cast<std::int64_t>(summary.pool_cap_evictions));
-  root.set("pool_breaker_rejected",
-           static_cast<std::int64_t>(summary.pool_breaker_rejected));
-  root.set("pool_breaker_opens",
-           static_cast<std::int64_t>(summary.pool_breaker_opens));
-  return json::Value{std::move(root)};
+  return json::encode(summary);
 }
 
 }  // namespace h2r::core
+
+namespace h2r::json {
+
+Value Codec<core::Cause>::encode(core::Cause cause) {
+  return Value{core::to_string(cause)};
+}
+
+util::Expected<core::Cause> Codec<core::Cause>::decode(const Value& value) {
+  for (core::Cause cause : core::kAllCauses) {
+    if (core::to_string(cause) == value.as_string()) return cause;
+  }
+  return util::unexpected(
+      util::Error{"unknown cause: " + value.as_string()});
+}
+
+}  // namespace h2r::json

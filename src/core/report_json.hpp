@@ -6,6 +6,7 @@
 #include "core/classify.hpp"
 #include "core/report.hpp"
 #include "fault/fault.hpp"
+#include "json/fields.hpp"
 #include "json/json.hpp"
 
 namespace h2r::core {
@@ -36,7 +37,8 @@ struct ReportJsonOptions {
 
 /// THE aggregate-report serializer; the two shapes of the old to_json /
 /// to_json_full pair are selected by options.fidelity and preserved byte
-/// for byte (both names forward here).
+/// for byte (both names forward here). The full shape is generated from
+/// AggregateReport's field table (json/fields.hpp).
 json::Value report_to_json(const AggregateReport& report,
                            const ReportJsonOptions& options = {});
 
@@ -53,7 +55,7 @@ inline json::Value to_json_full(const AggregateReport& report) {
 
 /// Strict parser for to_json_full output. Rejects malformed documents:
 /// missing/mistyped fields, non-integer or negative counters (doubles and
-/// NaN included), unknown cause names.
+/// NaN included), unknown cause names; the error names the key path.
 util::Expected<AggregateReport> report_from_json(const json::Value& value);
 
 /// TimeHistogram (sample multiset) <-> JSON: array of [value_ms, count]
@@ -74,14 +76,30 @@ json::Value to_json(const SiteClassification& classification);
 /// Audit report -> JSON (advice items with cause/remedy/volume).
 json::Value to_json(const AuditReport& report);
 
-/// Policy replay tally <-> JSON (DESIGN §14). The parser is strict, like
-/// report_from_json: journal checkpoints carry these per policy point.
-json::Value to_json(const PolicyTally& tally);
-util::Expected<PolicyTally> policy_tally_from_json(const json::Value& value);
-
 /// Fault-layer ledger -> JSON: per-kind injected counts plus the fetch /
 /// retry / degradation counters. Serialized alongside the crawl summary
 /// so chaos runs diff cleanly in CI.
 json::Value to_json(const fault::FailureSummary& summary);
 
 }  // namespace h2r::core
+
+namespace h2r::json {
+
+/// Cause keys by name ("CERT", "IP", "CRED").
+template <>
+struct Codec<core::Cause> {
+  static Value encode(core::Cause cause);
+  static util::Expected<core::Cause> decode(const Value& value);
+};
+
+template <>
+struct Codec<stats::TimeHistogram> {
+  static Value encode(const stats::TimeHistogram& histogram) {
+    return core::histogram_to_json(histogram);
+  }
+  static util::Expected<stats::TimeHistogram> decode(const Value& value) {
+    return core::histogram_from_json(value);
+  }
+};
+
+}  // namespace h2r::json

@@ -19,21 +19,7 @@ void append_count(std::string& out, std::uint64_t n, const char* label) {
 
 }  // namespace
 
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDnsServfail: return "dns-servfail";
-    case FaultKind::kDnsTimeout: return "dns-timeout";
-    case FaultKind::kDnsStale: return "dns-stale";
-    case FaultKind::kTlsHandshake: return "tls-handshake";
-    case FaultKind::kTlsCertValidation: return "tls-cert";
-    case FaultKind::kConnectRefused: return "connect-refused";
-    case FaultKind::kConnectReset: return "connect-reset";
-    case FaultKind::kLatencySpike: return "latency-spike";
-    case FaultKind::kGoaway: return "goaway";
-    case FaultKind::kRstStream: return "rst-stream";
-  }
-  return "unknown";
-}
+std::string to_string(FaultKind kind) { return std::string(kind_name(kind)); }
 
 bool FaultConfig::enabled() const noexcept {
   return std::any_of(rates.begin(), rates.end(),
@@ -99,32 +85,7 @@ std::uint64_t FailureSummary::total_injected() const noexcept {
 }
 
 void FailureSummary::add(const FailureSummary& other) noexcept {
-  dns_servfail += other.dns_servfail;
-  dns_timeout += other.dns_timeout;
-  dns_stale += other.dns_stale;
-  tls_handshake += other.tls_handshake;
-  tls_cert += other.tls_cert;
-  connect_refused += other.connect_refused;
-  connect_reset += other.connect_reset;
-  latency_spikes += other.latency_spikes;
-  goaways += other.goaways;
-  rst_streams += other.rst_streams;
-  fetch_attempts += other.fetch_attempts;
-  successful_fetches += other.successful_fetches;
-  failed_fetches += other.failed_fetches;
-  retries += other.retries;
-  retry_successes += other.retry_successes;
-  degraded_resources += other.degraded_resources;
-  degraded_sites += other.degraded_sites;
-  deadline_exceeded += other.deadline_exceeded;
-  pool_stale_handouts += other.pool_stale_handouts;
-  pool_connect_failures += other.pool_connect_failures;
-  pool_connect_abandoned += other.pool_connect_abandoned;
-  pool_dead_discards += other.pool_dead_discards;
-  pool_idle_evictions += other.pool_idle_evictions;
-  pool_cap_evictions += other.pool_cap_evictions;
-  pool_breaker_rejected += other.pool_breaker_rejected;
-  pool_breaker_opens += other.pool_breaker_opens;
+  util::merge_fields(*this, other);
 }
 
 std::string describe(const FailureSummary& summary) {

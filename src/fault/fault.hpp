@@ -26,8 +26,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "util/clock.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace h2r::fault {
@@ -47,6 +49,16 @@ enum class FaultKind : std::uint8_t {
 };
 
 inline constexpr std::size_t kFaultKindCount = 10;
+
+/// Stable kind names, in FaultKind order: the fault ledger's JSON keys.
+inline constexpr std::string_view kind_name(FaultKind kind) noexcept {
+  constexpr std::string_view kNames[kFaultKindCount] = {
+      "dns-servfail",  "dns-timeout",     "dns-stale",     "tls-handshake",
+      "tls-cert",      "connect-refused", "connect-reset", "latency-spike",
+      "goaway",        "rst-stream",
+  };
+  return kNames[static_cast<std::size_t>(kind)];
+}
 
 std::string to_string(FaultKind kind);
 
@@ -91,19 +103,17 @@ struct FaultConfig {
 /// load / crawl shard / campaign. Pure counters: addition is commutative,
 /// so shard merges reproduce single-pass accumulation bit for bit.
 struct FailureSummary {
-  // Injected faults, by kind. The JSON codec walks these through the
-  // count(FaultKind) loop rather than by name, hence the per-field codec
-  // exclusions; merge and operator== still cover them by name.
-  std::uint64_t dns_servfail = 0;   // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t dns_timeout = 0;    // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t dns_stale = 0;      // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t tls_handshake = 0;  // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t tls_cert = 0;       // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t connect_refused = 0;  // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t connect_reset = 0;  // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t latency_spikes = 0;  // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t goaways = 0;        // contract: exclude(codec) -- count(kind) loop
-  std::uint64_t rst_streams = 0;    // contract: exclude(codec) -- count(kind) loop
+  // Injected faults, by kind (see count(FaultKind)).
+  std::uint64_t dns_servfail = 0;
+  std::uint64_t dns_timeout = 0;
+  std::uint64_t dns_stale = 0;
+  std::uint64_t tls_handshake = 0;
+  std::uint64_t tls_cert = 0;
+  std::uint64_t connect_refused = 0;
+  std::uint64_t connect_reset = 0;
+  std::uint64_t latency_spikes = 0;
+  std::uint64_t goaways = 0;
+  std::uint64_t rst_streams = 0;
 
   // How the browser coped.
   std::uint64_t fetch_attempts = 0;   // resources fetched (retries excluded)
@@ -151,6 +161,46 @@ struct FailureSummary {
 
   bool operator==(const FailureSummary&) const = default;
 };
+
+/// Field table (util/fields.hpp): the injected counters serialize under
+/// "injected", keyed by kind_name(FaultKind).
+auto fields(util::RecordOf<FailureSummary> auto& s) {
+  auto& [dns_servfail, dns_timeout, dns_stale, tls_handshake, tls_cert,
+         connect_refused, connect_reset, latency_spikes, goaways,
+         rst_streams, fetch_attempts, successful_fetches, failed_fetches,
+         retries, retry_successes, degraded_resources, degraded_sites,
+         deadline_exceeded, pool_stale_handouts, pool_connect_failures,
+         pool_connect_abandoned, pool_dead_discards, pool_idle_evictions,
+         pool_cap_evictions, pool_breaker_rejected, pool_breaker_opens] = s;
+  using util::row;
+  return std::tuple(
+      util::group("injected",
+                  row(kind_name(FaultKind::kDnsServfail), dns_servfail),
+                  row(kind_name(FaultKind::kDnsTimeout), dns_timeout),
+                  row(kind_name(FaultKind::kDnsStale), dns_stale),
+                  row(kind_name(FaultKind::kTlsHandshake), tls_handshake),
+                  row(kind_name(FaultKind::kTlsCertValidation), tls_cert),
+                  row(kind_name(FaultKind::kConnectRefused), connect_refused),
+                  row(kind_name(FaultKind::kConnectReset), connect_reset),
+                  row(kind_name(FaultKind::kLatencySpike), latency_spikes),
+                  row(kind_name(FaultKind::kGoaway), goaways),
+                  row(kind_name(FaultKind::kRstStream), rst_streams)),
+      row("fetch_attempts", fetch_attempts),
+      row("successful_fetches", successful_fetches),
+      row("failed_fetches", failed_fetches), row("retries", retries),
+      row("retry_successes", retry_successes),
+      row("degraded_resources", degraded_resources),
+      row("degraded_sites", degraded_sites),
+      row("deadline_exceeded", deadline_exceeded),
+      row("pool_stale_handouts", pool_stale_handouts),
+      row("pool_connect_failures", pool_connect_failures),
+      row("pool_connect_abandoned", pool_connect_abandoned),
+      row("pool_dead_discards", pool_dead_discards),
+      row("pool_idle_evictions", pool_idle_evictions),
+      row("pool_cap_evictions", pool_cap_evictions),
+      row("pool_breaker_rejected", pool_breaker_rejected),
+      row("pool_breaker_opens", pool_breaker_opens));
+}
 
 /// Multi-line human rendering ("  dns: 3 servfail, ..."), empty when
 /// nothing was injected and nothing failed.

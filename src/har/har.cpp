@@ -55,52 +55,105 @@ std::vector<Log> split_pages(const Log& log) {
   return out;
 }
 
+// The codec speaks the external HAR format, so it stays hand-written.
+// Every function binds all members of its record, so a member added
+// without codec support fails to compile here.
 namespace {
+
 json::Value page_to_json(const Page& page) {
+  const auto& [id, url, started] = page;
   json::Object obj;
-  obj.set("id", page.id);
-  obj.set("title", page.url);
-  obj.set("startedDateTime", static_cast<std::int64_t>(page.started));
+  obj.set("id", id);
+  obj.set("title", url);
+  obj.set("startedDateTime", static_cast<std::int64_t>(started));
   return json::Value{std::move(obj)};
 }
+
+Page page_from_json(const json::Value& value) {
+  Page page;
+  auto& [id, url, started] = page;
+  id = value["id"].as_string();
+  url = value["title"].as_string();
+  started = value["startedDateTime"].as_int();
+  return page;
+}
+
+json::Value entry_to_json(const Entry& e) {
+  const auto& [pageref, request_id, started, time_ms, method, url,
+               http_version, status, server_ip, connection_id,
+               has_security_details, san_list, issuer, cert_serial] = e;
+  json::Object request;
+  request.set("method", method);
+  request.set("url", url);
+  request.set("httpVersion", http_version);
+
+  json::Object response;
+  response.set("status", static_cast<std::int64_t>(status));
+  response.set("httpVersion", http_version);
+
+  json::Object entry;
+  entry.set("pageref", pageref);
+  if (!request_id.empty()) entry.set("_request_id", request_id);
+  entry.set("startedDateTime", static_cast<std::int64_t>(started));
+  entry.set("time", time_ms);
+  entry.set("request", std::move(request));
+  entry.set("response", std::move(response));
+  if (!server_ip.empty()) entry.set("serverIPAddress", server_ip);
+  if (connection_id >= 0) {
+    entry.set("connection", std::to_string(connection_id));
+  }
+  if (has_security_details) {
+    json::Object sec;
+    json::Array sans;
+    for (const std::string& san : san_list) sans.emplace_back(san);
+    sec.set("sanList", std::move(sans));
+    sec.set("issuer", issuer);
+    sec.set("serialNumber", std::to_string(cert_serial));
+    entry.set("_securityDetails", std::move(sec));
+  }
+  return json::Value{std::move(entry)};
+}
+
+Entry entry_from_json(const json::Value& v) {
+  Entry e;
+  auto& [pageref, request_id, started, time_ms, method, url, http_version,
+         status, server_ip, connection_id, has_security_details, san_list,
+         issuer, cert_serial] = e;
+  pageref = v["pageref"].as_string();
+  request_id = v["_request_id"].as_string();
+  started = v["startedDateTime"].as_int();
+  time_ms = v["time"].as_double();
+  method = v["request"]["method"].as_string();
+  url = v["request"]["url"].as_string();
+  http_version = v["request"]["httpVersion"].as_string();
+  status = static_cast<int>(v["response"]["status"].as_int());
+  server_ip = v["serverIPAddress"].as_string();
+  if (v["connection"].is_string()) {
+    connection_id =
+        std::strtoll(v["connection"].as_string().c_str(), nullptr, 10);
+  } else if (v["connection"].is_number()) {
+    connection_id = v["connection"].as_int();
+  }
+  const json::Value& sec = v["_securityDetails"];
+  if (sec.is_object()) {
+    has_security_details = true;
+    for (const json::Value& san : sec["sanList"].as_array()) {
+      san_list.push_back(san.as_string());
+    }
+    issuer = sec["issuer"].as_string();
+    cert_serial = static_cast<std::uint64_t>(
+        std::strtoull(sec["serialNumber"].as_string().c_str(), nullptr, 10));
+  }
+  return e;
+}
+
 }  // namespace
 
 json::Value to_json(const Log& log) {
-
-  json::Array entries;
-  entries.reserve(log.entries.size());
-  for (const Entry& e : log.entries) {
-    json::Object request;
-    request.set("method", e.method);
-    request.set("url", e.url);
-    request.set("httpVersion", e.http_version);
-
-    json::Object response;
-    response.set("status", static_cast<std::int64_t>(e.status));
-    response.set("httpVersion", e.http_version);
-
-    json::Object entry;
-    entry.set("pageref", e.pageref);
-    if (!e.request_id.empty()) entry.set("_request_id", e.request_id);
-    entry.set("startedDateTime", static_cast<std::int64_t>(e.started));
-    entry.set("time", e.time_ms);
-    entry.set("request", std::move(request));
-    entry.set("response", std::move(response));
-    if (!e.server_ip.empty()) entry.set("serverIPAddress", e.server_ip);
-    if (e.connection_id >= 0) {
-      entry.set("connection", std::to_string(e.connection_id));
-    }
-    if (e.has_security_details) {
-      json::Object sec;
-      json::Array sans;
-      for (const std::string& san : e.san_list) sans.emplace_back(san);
-      sec.set("sanList", std::move(sans));
-      sec.set("issuer", e.issuer);
-      sec.set("serialNumber", std::to_string(e.cert_serial));
-      entry.set("_securityDetails", std::move(sec));
-    }
-    entries.emplace_back(std::move(entry));
-  }
+  const auto& [page, extra_pages, entries] = log;
+  json::Array entry_array;
+  entry_array.reserve(entries.size());
+  for (const Entry& e : entries) entry_array.emplace_back(entry_to_json(e));
 
   json::Object log_obj;
   log_obj.set("version", "1.2");
@@ -109,12 +162,10 @@ json::Value to_json(const Log& log) {
   creator.set("version", "1.0");
   log_obj.set("creator", std::move(creator));
   json::Array pages;
-  pages.emplace_back(page_to_json(log.page));
-  for (const Page& extra : log.extra_pages) {
-    pages.emplace_back(page_to_json(extra));
-  }
+  pages.emplace_back(page_to_json(page));
+  for (const Page& extra : extra_pages) pages.emplace_back(page_to_json(extra));
   log_obj.set("pages", std::move(pages));
-  log_obj.set("entries", std::move(entries));
+  log_obj.set("entries", std::move(entry_array));
 
   json::Object root;
   root.set("log", std::move(log_obj));
@@ -127,53 +178,21 @@ util::Expected<Log> from_json(const json::Value& value) {
     return util::unexpected(util::Error{"missing log object"});
   }
   Log log;
+  auto& [page, extra_pages, entries] = log;
   const json::Value& pages = log_value["pages"];
   if (pages.is_array() && !pages.as_array().empty()) {
-    const json::Value& page = pages.at(0);
-    log.page.id = page["id"].as_string();
-    log.page.url = page["title"].as_string();
-    log.page.started = page["startedDateTime"].as_int();
+    page = page_from_json(pages.at(0));
     for (std::size_t i = 1; i < pages.as_array().size(); ++i) {
-      Page extra;
-      extra.id = pages.at(i)["id"].as_string();
-      extra.url = pages.at(i)["title"].as_string();
-      extra.started = pages.at(i)["startedDateTime"].as_int();
-      log.extra_pages.push_back(std::move(extra));
+      extra_pages.push_back(page_from_json(pages.at(i)));
     }
   }
-  const json::Value& entries = log_value["entries"];
-  if (!entries.is_array()) {
+  const json::Value& entry_values = log_value["entries"];
+  if (!entry_values.is_array()) {
     return util::unexpected(util::Error{"missing entries array"});
   }
-  log.entries.reserve(entries.as_array().size());
-  for (const json::Value& v : entries.as_array()) {
-    Entry e;
-    e.pageref = v["pageref"].as_string();
-    e.request_id = v["_request_id"].as_string();
-    e.started = v["startedDateTime"].as_int();
-    e.time_ms = v["time"].as_double();
-    e.method = v["request"]["method"].as_string();
-    e.url = v["request"]["url"].as_string();
-    e.http_version = v["request"]["httpVersion"].as_string();
-    e.status = static_cast<int>(v["response"]["status"].as_int());
-    e.server_ip = v["serverIPAddress"].as_string();
-    if (v["connection"].is_string()) {
-      e.connection_id = std::strtoll(v["connection"].as_string().c_str(),
-                                     nullptr, 10);
-    } else if (v["connection"].is_number()) {
-      e.connection_id = v["connection"].as_int();
-    }
-    const json::Value& sec = v["_securityDetails"];
-    if (sec.is_object()) {
-      e.has_security_details = true;
-      for (const json::Value& san : sec["sanList"].as_array()) {
-        e.san_list.push_back(san.as_string());
-      }
-      e.issuer = sec["issuer"].as_string();
-      e.cert_serial = static_cast<std::uint64_t>(
-          std::strtoull(sec["serialNumber"].as_string().c_str(), nullptr, 10));
-    }
-    log.entries.push_back(std::move(e));
+  entries.reserve(entry_values.as_array().size());
+  for (const json::Value& v : entry_values.as_array()) {
+    entries.push_back(entry_from_json(v));
   }
   return log;
 }

@@ -10,20 +10,7 @@
 namespace h2r::har {
 
 void ImportStats::add(const ImportStats& other) noexcept {
-  total_entries += other.total_entries;
-  h2_entries += other.h2_entries;
-  used_entries += other.used_entries;
-  socket_zero += other.socket_zero;
-  missing_ip += other.missing_ip;
-  inconsistent_ip += other.inconsistent_ip;
-  invalid_method += other.invalid_method;
-  invalid_version += other.invalid_version;
-  invalid_status += other.invalid_status;
-  wrong_pageref += other.wrong_pageref;
-  missing_request_id += other.missing_request_id;
-  missing_certificate += other.missing_certificate;
-  h1_entries += other.h1_entries;
-  h3_entries += other.h3_entries;
+  util::merge_fields(*this, other);
 }
 
 namespace {

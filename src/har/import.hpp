@@ -9,9 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
 #include "core/connection.hpp"
 #include "har/har.hpp"
+#include "util/fields.hpp"
 
 namespace h2r::har {
 
@@ -42,6 +44,26 @@ struct ImportStats {
 
   bool operator==(const ImportStats&) const = default;
 };
+
+/// Field table (util/fields.hpp).
+auto fields(util::RecordOf<ImportStats> auto& s) {
+  auto& [total_entries, h2_entries, used_entries, socket_zero, missing_ip,
+         inconsistent_ip, invalid_method, invalid_version, invalid_status,
+         wrong_pageref, missing_request_id, missing_certificate, h1_entries,
+         h3_entries] = s;
+  using util::row;
+  return std::tuple(
+      row("total_entries", total_entries), row("h2_entries", h2_entries),
+      row("used_entries", used_entries), row("socket_zero", socket_zero),
+      row("missing_ip", missing_ip), row("inconsistent_ip", inconsistent_ip),
+      row("invalid_method", invalid_method),
+      row("invalid_version", invalid_version),
+      row("invalid_status", invalid_status),
+      row("wrong_pageref", wrong_pageref),
+      row("missing_request_id", missing_request_id),
+      row("missing_certificate", missing_certificate),
+      row("h1_entries", h1_entries), row("h3_entries", h3_entries));
+}
 
 /// Parses one site's HAR into connection records (request-level only: no
 /// close times; a connection opens at its first request). `stats`

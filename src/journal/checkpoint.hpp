@@ -8,14 +8,16 @@
 // and crawling only the complement reproduces the uninterrupted run
 // bit-for-bit.
 //
-// Serialization is strict both ways: to_json emits full-fidelity reports
-// (no top-N truncation — see core::to_json_full), and chunk_from_json
-// rejects structurally invalid documents rather than guessing.
+// Serialization is generated from the field tables (json/fields.hpp) and
+// strict both ways: to_json emits full-fidelity reports (no top-N
+// truncation — see core::to_json_full), and chunk_from_json rejects
+// structurally invalid documents rather than guessing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,11 +32,6 @@ namespace h2r::journal {
 /// deliberately excluded — they are observability, not state).
 json::Value to_json(const browser::CrawlSummary& summary);
 util::Expected<browser::CrawlSummary> crawl_summary_from_json(
-    const json::Value& value);
-
-/// HAR import statistics codec.
-json::Value to_json(const har::ImportStats& stats);
-util::Expected<har::ImportStats> import_stats_from_json(
     const json::Value& value);
 
 /// One journaled unit of completed work.
@@ -57,7 +54,24 @@ struct ChunkCheckpoint {
 
   /// Total number of sites across all ranges.
   std::size_t site_count() const noexcept;
+
+  bool operator==(const ChunkCheckpoint&) const = default;
 };
+
+/// Field table (util/fields.hpp): codec only. A chunk needs a campaign
+/// name and at least one range; `tallies` is written only when non-empty,
+/// so study journal bytes are unchanged.
+auto fields(util::RecordOf<ChunkCheckpoint> auto& c) {
+  auto& [campaign, ranges, summary, reports, tallies, overlap_sites] = c;
+  constexpr unsigned kCodec = util::kSerialized | util::kCompared;
+  using util::row;
+  return std::tuple(row<kCodec | util::kNonEmpty>("campaign", campaign),
+                    row<kCodec | util::kNonEmpty>("ranges", ranges),
+                    row<kCodec>("summary", summary),
+                    row<kCodec>("reports", reports),
+                    row<kCodec | util::kOptional>("tallies", tallies),
+                    row<kCodec>("overlap_sites", overlap_sites));
+}
 
 json::Value to_json(const ChunkCheckpoint& chunk);
 util::Expected<ChunkCheckpoint> chunk_from_json(const json::Value& value);

@@ -164,7 +164,7 @@ json::Value to_json(const OptimizeResults& results) {
       }
     }
     entry.set("knobs", json::Value{std::move(knobs)});
-    entry.set("tally", core::to_json(outcome.tally));
+    entry.set("tally", json::encode(outcome.tally));
     ranking.push_back(json::Value{std::move(entry)});
   }
   root.set("ranking", json::Value{std::move(ranking)});

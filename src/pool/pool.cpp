@@ -87,18 +87,7 @@ std::string to_string(FreshCause cause) {
 }
 
 void PoolStats::add(const PoolStats& other) noexcept {
-  requests += other.requests;
-  reuse_hits += other.reuse_hits;
-  reuse_busy += other.reuse_busy;
-  reuse_idle += other.reuse_idle;
-  fresh_connects += other.fresh_connects;
-  final_closes += other.final_closes;
-  dead_natural += other.dead_natural;
-  dead_handouts += other.dead_handouts;
-  for (std::size_t i = 0; i < kFreshCauseCount; ++i) {
-    fresh_causes[i] += other.fresh_causes[i];
-  }
-  failures.add(other.failures);
+  util::merge_fields(*this, other);
 }
 
 std::uint64_t occupancy_peak(std::vector<OccupancyDelta>& deltas) {

@@ -39,6 +39,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -46,6 +47,7 @@
 #include "pool/breaker.hpp"
 #include "pool/key.hpp"
 #include "util/clock.hpp"
+#include "util/fields.hpp"
 
 namespace h2r::pool {
 
@@ -133,6 +135,26 @@ struct PoolStats {
 
   bool operator==(const PoolStats&) const = default;
 };
+
+/// Field table (util/fields.hpp): merge only — the replay JSON is a
+/// presentation encoder (proxy::to_json).
+auto fields(util::RecordOf<PoolStats> auto& s) {
+  auto& [requests, reuse_hits, reuse_busy, reuse_idle, fresh_connects,
+         final_closes, dead_natural, dead_handouts, fresh_causes, failures] =
+      s;
+  constexpr unsigned kUse = util::kMerged | util::kCompared;
+  using util::row;
+  return std::tuple(row<kUse>("requests", requests),
+                    row<kUse>("reuse_hits", reuse_hits),
+                    row<kUse>("reuse_busy", reuse_busy),
+                    row<kUse>("reuse_idle", reuse_idle),
+                    row<kUse>("fresh_connects", fresh_connects),
+                    row<kUse>("final_closes", final_closes),
+                    row<kUse>("dead_natural", dead_natural),
+                    row<kUse>("dead_handouts", dead_handouts),
+                    row<kUse>("fresh_causes", fresh_causes),
+                    row<kUse>("failures", failures));
+}
 
 /// One +-1 step of the pool's connection count, stamped with the
 /// simulated time the connection actually opened/closed (not when a lazy

@@ -1,25 +1,31 @@
 #include "util/env.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <string_view>
+#include <system_error>
 
 namespace h2r::util {
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  // from_chars skips no whitespace and accepts no sign for unsigned
+  // types, so "-4", " 7" and "+2" all fail; overflow is an error too.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto result = std::from_chars(text.data(), end, value);
+  if (text.empty() || result.ec != std::errc{} || result.ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback,
                       std::uint64_t minimum) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  // strtoull skips whitespace and wraps negative literals; require the
-  // first character to be a digit so "-4", " 7" and "+2" all fall back.
-  if (*value < '0' || *value > '9') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (errno == ERANGE || end == value || *end != '\0') return fallback;
-  if (parsed < minimum) return fallback;
-  return static_cast<std::uint64_t>(parsed);
+  if (value == nullptr) return fallback;
+  const auto parsed = parse_u64(value);
+  return parsed && *parsed >= minimum ? *parsed : fallback;
 }
 
 double env_double(const char* name, double fallback, double min, double max) {

@@ -17,9 +17,16 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace h2r::util {
+
+/// The whole-string rule env_u64 applies, for any text (CLI flags too):
+/// decimal digits only — no sign, space or base prefix — within uint64
+/// range; nullopt otherwise.
+std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 /// Unsigned integer knob. Returns `fallback` when `name` is unset, empty,
 /// not a whole-string decimal number, out of uint64 range, or below

@@ -283,10 +283,10 @@ TEST(ToString, Names) {
   EXPECT_EQ(to_string(DurationModel::kExact), "exact");
 }
 
-// Regression for the eq-coverage gap h2r-lint's contract pass caught:
-// operator== used to compare mask() alone, so policies differing only in
-// duration or horizon (neither is a knob bit) compared equal — a cache
-// keyed on Policy equality would have conflated distinct policy points.
+// Regression: operator== once compared mask() alone, so policies
+// differing only in duration or horizon (neither is a knob bit) compared
+// equal — a cache keyed on Policy equality would have conflated distinct
+// policy points. It is `= default` now; this pins every field.
 TEST(Policy, EqualityCoversEveryFieldNotJustTheKnobMask) {
   const Policy base;
   EXPECT_EQ(base, Policy{});

@@ -66,6 +66,18 @@ TEST(EnvU64, EnforcesMinimum) {
   }
 }
 
+TEST(ParseU64, AppliesTheEnvRuleToAnyText) {
+  // The CLI's numeric flags share env_u64's whole-string rule.
+  EXPECT_EQ(parse_u64("12345"), 12345u);
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  const char* bad[] = {"abc", "12abc", "-4", "+2", " 7", "7 ", "0x10", "",
+                       "18446744073709551616"};
+  for (const char* value : bad) {
+    EXPECT_FALSE(parse_u64(value).has_value()) << "value: '" << value << "'";
+  }
+}
+
 TEST(EnvDouble, ParsesInRangeValues) {
   {
     EnvGuard guard(kVar, "0.25");

@@ -1,5 +1,5 @@
 // Differential proof that metric snapshots obey the crawl's determinism
-// contract: the DETERMINISTIC domain (dns.* / net.* / tls.* / h2.* /
+// contract. The DETERMINISTIC domain (dns.* / net.* / tls.* / h2.* /
 // browser.* / crawl.* counters, gauges and simulated-time histograms) is
 // bit-identical for every thread count and fault regime pairing — the
 // serialized JSON bytes match, which is exactly what the CI metrics job

@@ -31,228 +31,13 @@ std::string at(const FunctionDef& fn) {
   return fn.path + ":" + std::to_string(fn.header_line);
 }
 
-/// Shared context: the model plus the per-path file index.
-struct Ctx {
-  const Model& model;
-  std::map<std::string, const FileModel*> file_by_path;
-
-  explicit Ctx(const Model& m) : model(m) {
-    for (const FileModel& file : m.files) {
-      file_by_path.emplace(file.path, &file);
-    }
-  }
-
-  const FileModel* file_of(const FunctionDef& fn) const {
-    const auto it = file_by_path.find(fn.path);
-    return it == file_by_path.end() ? nullptr : it->second;
-  }
-
-  /// Body text with one level of same-file initializer-table expansion:
-  /// a codec driven by `constexpr CounterField kFields[] = {...}` covers
-  /// exactly the fields that table names.
-  std::string effective_body(const FunctionDef& fn) const {
-    std::string body = fn.body;
-    const FileModel* file = file_of(fn);
-    if (file != nullptr) {
-      for (const auto& [name, text] : file->tables) {
-        if (has_ident(fn.body, name)) {
-          body += '\n';
-          body += text;
-        }
-      }
-    }
-    return body;
-  }
-};
-
-// ------------------------------------------------------ field coverage
-
-/// Member (or out-of-line member) functions of `name` on struct `s` whose
-/// parameter list mentions the struct itself — the merge/operator==
-/// association.
-std::vector<const FunctionDef*> member_fns_taking_self(
-    const Ctx& ctx, const StructModel& s,
-    std::initializer_list<std::string_view> names, bool require_self) {
-  std::vector<const FunctionDef*> out;
-  for (std::string_view name : names) {
-    const auto it = ctx.model.functions_by_name.find(std::string(name));
-    if (it == ctx.model.functions_by_name.end()) continue;
-    for (const FunctionDef* fn : it->second) {
-      if (fn->templated || fn->body.empty()) continue;
-      const bool self_param = has_ident(fn->params, s.name);
-      if (fn->qualifier == s.name) {
-        if (!require_self || self_param) out.push_back(fn);
-      } else if (fn->qualifier.empty() && self_param) {
-        // Free function (free operator== / free merge helper).
-        out.push_back(fn);
-      }
-    }
-  }
-  return out;
-}
-
-std::string join_names(const std::vector<const FunctionDef*>& fns) {
-  std::string out;
-  for (const FunctionDef* fn : fns) {
-    if (!out.empty()) out += ", ";
-    if (!fn->qualifier.empty()) out += fn->qualifier + "::";
-    out += fn->name + " (" + at(*fn) + ")";
-  }
-  return out;
-}
-
-void rule_merge_coverage(const Ctx& ctx, std::vector<Finding>& out) {
-  for (const auto& [name, s] : ctx.model.structs) {
-    const std::vector<const FunctionDef*> merges = member_fns_taking_self(
-        ctx, *s, {"merge", "add"}, /*require_self=*/true);
-    if (merges.empty()) continue;
-    std::string combined;
-    for (const FunctionDef* fn : merges) {
-      combined += ctx.effective_body(*fn);
-      combined += '\n';
-    }
-    for (const FieldDecl& field : s->fields) {
-      if (field.excluded.count("merge") != 0) continue;
-      if (has_ident(combined, field.name)) continue;
-      add(out, "contract.merge-coverage", field.path, field.line,
-          Severity::kError,
-          "struct " + s->name + ": field '" + field.name +
-              "' is never combined in " + join_names(merges) +
-              " — a sharded run would silently drop it and threads=N "
-              "would diverge from threads=1",
-          field.decl,
-          "fold '" + field.name + "' into " + s->name +
-              "::" + merges.front()->name +
-              " (+=, min/max, map-sum or container-append), or annotate "
-              "the field `// contract: exclude(merge) -- <why>`");
-    }
-  }
-}
-
-void rule_eq_coverage(const Ctx& ctx, std::vector<Finding>& out) {
-  for (const auto& [name, s] : ctx.model.structs) {
-    if (s->defaulted_eq) continue;  // every field participates by language
-    const std::vector<const FunctionDef*> eqs = member_fns_taking_self(
-        ctx, *s, {"operator=="}, /*require_self=*/false);
-    if (eqs.empty()) continue;
-    std::string combined;
-    for (const FunctionDef* fn : eqs) {
-      combined += ctx.effective_body(*fn);
-      combined += '\n';
-    }
-    for (const FieldDecl& field : s->fields) {
-      if (field.excluded.count("eq") != 0) continue;
-      if (has_ident(combined, field.name)) continue;
-      add(out, "contract.eq-coverage", field.path, field.line,
-          Severity::kError,
-          "struct " + s->name + ": field '" + field.name +
-              "' does not participate in " + join_names(eqs) +
-              " — the differential tests comparing these values would "
-              "miss a divergence in it",
-          field.decl,
-          "compare '" + field.name +
-              "' in operator== (prefer `= default` when every field "
-              "belongs), or annotate the field `// contract: exclude(eq) "
-              "-- <why>`");
-    }
-  }
-}
-
-/// The struct a codec function serves: the known, non-templated struct
-/// whose identifier appears earliest in `domain`.
-const StructModel* earliest_struct(const Ctx& ctx, std::string_view domain) {
-  const StructModel* best = nullptr;
-  std::size_t best_off = std::string_view::npos;
-  for (const auto& [name, s] : ctx.model.structs) {
-    std::size_t off = 0;
-    if (has_ident(domain, name, &off) && off < best_off) {
-      best = s;
-      best_off = off;
-    }
-  }
-  return best;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-void rule_codec_coverage(const Ctx& ctx, std::vector<Finding>& out) {
-  // Associate encoders (x_to_json(const X&...)) and decoders
-  // (x_from_json(...) -> Expected<X> / X* out-param) to their structs.
-  std::map<const StructModel*, std::vector<const FunctionDef*>> encoders;
-  std::map<const StructModel*, std::vector<const FunctionDef*>> decoders;
-  for (const auto& [name, fns] : ctx.model.functions_by_name) {
-    const bool enc = name == "to_json" || ends_with(name, "_to_json");
-    const bool dec = ends_with(name, "from_json");
-    if (!enc && !dec) continue;
-    for (const FunctionDef* fn : fns) {
-      if (fn->templated || fn->body.empty()) continue;
-      if (enc) {
-        if (const StructModel* s = earliest_struct(ctx, fn->params)) {
-          encoders[s].push_back(fn);
-        }
-      } else {
-        const std::string domain = fn->return_text + " " + fn->params;
-        if (const StructModel* s = earliest_struct(ctx, domain)) {
-          decoders[s].push_back(fn);
-        }
-      }
-    }
-  }
-  for (const auto& [s, encs] : encoders) {
-    const auto dit = decoders.find(s);
-    if (dit == decoders.end()) continue;  // one-directional by design
-    const std::vector<const FunctionDef*>& decs = dit->second;
-    std::string enc_body;
-    for (const FunctionDef* fn : encs) {
-      enc_body += ctx.effective_body(*fn);
-      enc_body += '\n';
-    }
-    std::string dec_body;
-    for (const FunctionDef* fn : decs) {
-      dec_body += ctx.effective_body(*fn);
-      dec_body += '\n';
-    }
-    for (const FieldDecl& field : s->fields) {
-      if (field.excluded.count("codec") != 0) continue;
-      const bool in_enc = has_ident(enc_body, field.name);
-      const bool in_dec = has_ident(dec_body, field.name);
-      if (in_enc && in_dec) continue;
-      std::string gap;
-      if (in_enc) {
-        gap = "is serialized in " + join_names(encs) +
-              " but never parsed in " + join_names(decs) +
-              " — the value is lost on resume/import";
-      } else if (in_dec) {
-        gap = "is parsed in " + join_names(decs) +
-              " but never serialized in " + join_names(encs) +
-              " — the decoder reads a field the encoder never writes";
-      } else {
-        gap = "appears in neither " + join_names(encs) + " nor " +
-              join_names(decs) +
-              " — checkpoint round-trips silently drop it";
-      }
-      add(out, "contract.codec-coverage", field.path, field.line,
-          Severity::kError,
-          "struct " + s->name + ": field '" + field.name + "' " + gap,
-          field.decl,
-          "handle '" + field.name +
-              "' on both codec sides (or add it to the member-pointer "
-              "table both drive), or annotate the field `// contract: "
-              "exclude(codec) -- <why>`");
-    }
-  }
-}
-
 // ----------------------------------------------------------- lock.order
 
-void rule_lock_order(const Ctx& ctx, std::vector<Finding>& out) {
+void rule_lock_order(const Model& model, std::vector<Finding>& out) {
   // Mutex name resolution: members by enclosing type, then file scope.
   std::map<std::string, std::map<std::string, std::string>> by_owner;
   std::map<std::string, std::map<std::string, std::string>> by_file;
-  for (const MutexDecl* m : ctx.model.mutexes) {
+  for (const MutexDecl* m : model.mutexes) {
     const std::size_t sep = m->id.rfind("::");
     const std::string owner = m->id.substr(0, sep);
     if (owner == m->path) {
@@ -285,7 +70,7 @@ void rule_lock_order(const Ctx& ctx, std::vector<Finding>& out) {
   };
   std::map<const FunctionDef*, std::vector<Acq>> direct;
   std::vector<const FunctionDef*> fns;
-  for (const FileModel& file : ctx.model.files) {
+  for (const FileModel& file : model.files) {
     for (const FunctionDef& fn : file.functions) {
       std::vector<Acq> acqs;
       for (const LockUse& use : fn.locks) {
@@ -311,8 +96,8 @@ void rule_lock_order(const Ctx& ctx, std::vector<Finding>& out) {
     changed = false;
     for (const FunctionDef* fn : fns) {
       for (const CallSite& call : fn->calls) {
-        const auto cit = ctx.model.functions_by_name.find(call.callee);
-        if (cit == ctx.model.functions_by_name.end()) continue;
+        const auto cit = model.functions_by_name.find(call.callee);
+        if (cit == model.functions_by_name.end()) continue;
         for (const FunctionDef* callee : cit->second) {
           const auto hit = holds.find(callee);
           if (hit == holds.end()) continue;
@@ -343,8 +128,8 @@ void rule_lock_order(const Ctx& ctx, std::vector<Finding>& out) {
       }
       for (const CallSite& call : fn->calls) {
         if (call.offset <= acqs[i].offset) continue;
-        const auto cit = ctx.model.functions_by_name.find(call.callee);
-        if (cit == ctx.model.functions_by_name.end()) continue;
+        const auto cit = model.functions_by_name.find(call.callee);
+        if (cit == model.functions_by_name.end()) continue;
         for (const FunctionDef* callee : cit->second) {
           const auto hit = holds.find(callee);
           if (hit == holds.end()) continue;
@@ -441,7 +226,7 @@ Backing backing_of_decl(const std::string& decl, std::size_t before) {
 ///      unrelated structs with different backings; a disagreement means
 ///      we do not know which one this function touches, and kUnknown
 ///      never flags).
-Backing resolve_receiver(const Ctx& ctx, const FunctionDef& fn,
+Backing resolve_receiver(const Model& model, const FunctionDef& fn,
                          const std::string& receiver) {
   std::istringstream body(fn.body);
   std::string line;
@@ -452,8 +237,8 @@ Backing resolve_receiver(const Ctx& ctx, const FunctionDef& fn,
     if (b != Backing::kUnknown) return b;
   }
   if (!fn.qualifier.empty()) {
-    const auto it = ctx.model.structs.find(fn.qualifier);
-    if (it != ctx.model.structs.end()) {
+    const auto it = model.structs.find(fn.qualifier);
+    if (it != model.structs.end()) {
       for (const FieldDecl& field : it->second->fields) {
         if (field.name != receiver) continue;
         const Backing b = backing_of_decl(field.decl, field.decl.size());
@@ -462,7 +247,7 @@ Backing resolve_receiver(const Ctx& ctx, const FunctionDef& fn,
     }
   }
   Backing agreed = Backing::kUnknown;
-  for (const FileModel& file : ctx.model.files) {
+  for (const FileModel& file : model.files) {
     for (const StructModel& s : file.structs) {
       for (const FieldDecl& field : s.fields) {
         if (field.name != receiver) continue;
@@ -479,13 +264,13 @@ Backing resolve_receiver(const Ctx& ctx, const FunctionDef& fn,
   return agreed;
 }
 
-void rule_hotpath_alloc(const Ctx& ctx, std::vector<Finding>& out) {
+void rule_hotpath_alloc(const Model& model, std::vector<Finding>& out) {
   constexpr std::string_view kHint =
       "allocate through the per-site arena (util::Arena / ArenaVector / "
       "the domain interner) or hoist the allocation out of the hot "
       "function; `h2r-lint: allow(hotpath.alloc) -- <why>` if it is "
       "genuinely cold";
-  for (const FileModel& file : ctx.model.files) {
+  for (const FileModel& file : model.files) {
     for (const FunctionDef& fn : file.functions) {
       if (!fn.hotpath) continue;
       if (fn.hotpath_missing_reason) {
@@ -568,7 +353,7 @@ void rule_hotpath_alloc(const Ctx& ctx, std::vector<Finding>& out) {
             if (recv_begin == recv_end) continue;
             const std::string receiver(
                 line.substr(recv_begin, recv_end - recv_begin));
-            if (resolve_receiver(ctx, fn, receiver) == Backing::kHeap) {
+            if (resolve_receiver(model, fn, receiver) == Backing::kHeap) {
               add(out, "hotpath.alloc", fn.path, line_no,
                   Severity::kWarning,
                   "'" + receiver + "." + std::string(grower) +
@@ -586,31 +371,14 @@ void rule_hotpath_alloc(const Ctx& ctx, std::vector<Finding>& out) {
   }
 }
 
-void rule_annotation_issues(const Ctx& ctx, std::vector<Finding>& out) {
-  for (const FileModel& file : ctx.model.files) {
-    for (const AnnotationIssue& issue : file.annotation_issues) {
-      add(out, "allow.reason", issue.path, issue.line, Severity::kError,
-          "contract annotation is malformed or missing its reason; write "
-          "\"contract: exclude(merge|eq|codec) -- why\" or \"contract: "
-          "diagnostic -- why\"",
-          issue.text, "");
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<Finding> contract_findings(const Model& model,
                                        const Options& options) {
   (void)options;
-  Ctx ctx(model);
   std::vector<Finding> out;
-  rule_merge_coverage(ctx, out);
-  rule_eq_coverage(ctx, out);
-  rule_codec_coverage(ctx, out);
-  rule_lock_order(ctx, out);
-  rule_hotpath_alloc(ctx, out);
-  rule_annotation_issues(ctx, out);
+  rule_lock_order(model, out);
+  rule_hotpath_alloc(model, out);
   return out;
 }
 

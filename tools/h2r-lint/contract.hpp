@@ -1,21 +1,12 @@
-// The cross-TU contract rules built on the semantic model (model.hpp):
+// The cross-TU rules built on the semantic model (model.hpp):
 //
-//   contract.merge-coverage   every field of a struct with a merge() is
-//                             combined in it (shard merges stay complete)
-//   contract.codec-coverage   every field is serialized in to_json AND
-//                             parsed in from_json — one-sided codec edits
-//                             and forgotten fields both fail
-//   contract.eq-coverage      every field participates in operator==
-//                             (defaulted == passes by construction)
-//   lock.order                the lock-acquisition graph across all
-//                             modeled mutexes is acyclic
-//   hotpath.alloc             no heap allocation inside functions
-//                             annotated `// h2r-lint: hotpath -- reason`
+//   lock.order     the lock-acquisition graph across all modeled mutexes
+//                  is acyclic
+//   hotpath.alloc  no heap allocation inside functions annotated
+//                  `// h2r-lint: hotpath -- reason`
 //
-// Per-field escape hatch, same audited-allow philosophy as the line
-// grammar: `// contract: diagnostic -- why` excludes a field from all
-// three coverage rules; `// contract: exclude(merge|eq|codec, ...) --
-// why` excludes selectively. A missing reason raises allow.reason.
+// Field coverage of merge, operator== and the JSON codecs is not a lint
+// rule: the field tables (src/util/fields.hpp) make the compiler check it.
 #pragma once
 
 #include <vector>
@@ -25,7 +16,7 @@
 
 namespace h2r::lint {
 
-/// Runs every contract rule over the model. Findings are unfiltered and
+/// Runs every cross-TU rule over the model. Findings are unfiltered and
 /// unsorted; the caller applies inline allows, strict promotion and the
 /// global sort.
 std::vector<Finding> contract_findings(const Model& model,

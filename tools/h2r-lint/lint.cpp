@@ -4,9 +4,11 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "contract.hpp"
@@ -118,9 +120,6 @@ constexpr std::string_view kRuleIds[] = {
     "ban.rand",
     "ban.thread-id",
     "ban.time",
-    "contract.codec-coverage",
-    "contract.eq-coverage",
-    "contract.merge-coverage",
     "env.getenv",
     "hotpath.alloc",
     "lock.atomic-mix",
@@ -392,8 +391,13 @@ void rule_atomic_mix(std::string_view path, const std::vector<Line>& lines,
 
 // ------------------------------------------------------------------ io
 
+// The Finding codec keeps its optional keys and unknown-key rejection by
+// hand. Both sides bind every member, so a member added without codec
+// support fails to compile.
 util::Expected<Finding> finding_from_json(const json::Value& value) {
-  if (!value.is_object()) return util::unexpected(util::Error{"finding: not an object"});
+  if (!value.is_object()) {
+    return util::unexpected(util::Error{"finding: not an object"});
+  }
   const json::Object& obj = value.as_object();
   for (const auto& [key, unused] : obj) {
     (void)unused;
@@ -404,51 +408,38 @@ util::Expected<Finding> finding_from_json(const json::Value& value) {
     }
   }
   Finding f;
-  const json::Value* rule = obj.find("rule");
-  const json::Value* path = obj.find("path");
-  const json::Value* line = obj.find("line");
-  const json::Value* severity = obj.find("severity");
-  if (rule == nullptr || !rule->is_string()) {
-    return util::unexpected(util::Error{"finding: missing string 'rule'"});
-  }
-  if (path == nullptr || !path->is_string()) {
-    return util::unexpected(util::Error{"finding: missing string 'path'"});
-  }
-  if (line == nullptr || !line->is_int() || line->as_int() < 1) {
-    return util::unexpected(util::Error{"finding: missing positive integer 'line'"});
-  }
-  if (severity == nullptr || !severity->is_string()) {
-    return util::unexpected(util::Error{"finding: missing string 'severity'"});
-  }
-  f.rule = rule->as_string();
-  f.path = path->as_string();
-  f.line = static_cast<int>(line->as_int());
-  if (severity->as_string() == "error") {
-    f.severity = Severity::kError;
-  } else if (severity->as_string() == "warning") {
-    f.severity = Severity::kWarning;
-  } else {
-    return util::unexpected(util::Error{"finding: unknown severity '" +
-                                        severity->as_string() + "'"});
-  }
-  if (const json::Value* message = obj.find("message")) {
-    if (!message->is_string()) {
-      return util::unexpected(util::Error{"finding: 'message' must be a string"});
-    }
-    f.message = message->as_string();
-  }
-  if (const json::Value* snippet = obj.find("snippet")) {
-    if (!snippet->is_string()) {
-      return util::unexpected(util::Error{"finding: 'snippet' must be a string"});
-    }
-    f.snippet = snippet->as_string();
-  }
-  if (const json::Value* fix_hint = obj.find("fix_hint")) {
-    if (!fix_hint->is_string()) {
+  auto& [rule, path, line, severity, message, snippet, fix_hint] = f;
+  std::string severity_text;
+  for (const auto& [key, out, required] :
+       std::initializer_list<std::tuple<const char*, std::string*, bool>>{
+           {"rule", &rule, true},
+           {"path", &path, true},
+           {"severity", &severity_text, true},
+           {"message", &message, false},
+           {"snippet", &snippet, false},
+           {"fix_hint", &fix_hint, false}}) {
+    const json::Value* field = obj.find(key);
+    if (field == nullptr && !required) continue;
+    if (field == nullptr || !field->is_string()) {
       return util::unexpected(
-          util::Error{"finding: 'fix_hint' must be a string"});
+          util::Error{std::string("finding: missing string '") + key + "'"});
     }
-    f.fix_hint = fix_hint->as_string();
+    *out = field->as_string();
+  }
+  const json::Value* line_value = obj.find("line");
+  if (line_value == nullptr || !line_value->is_int() ||
+      line_value->as_int() < 1) {
+    return util::unexpected(
+        util::Error{"finding: missing positive integer 'line'"});
+  }
+  line = static_cast<int>(line_value->as_int());
+  if (severity_text == "error") {
+    severity = Severity::kError;
+  } else if (severity_text == "warning") {
+    severity = Severity::kWarning;
+  } else {
+    return util::unexpected(
+        util::Error{"finding: unknown severity '" + severity_text + "'"});
   }
   return f;
 }
@@ -471,9 +462,9 @@ std::string explain_rule(std::string_view rule) {
   };
   static constexpr Entry kExplanations[] = {
       {"allow.reason",
-       "Every suppression must say why. An allow (or contract exclusion, "
-       "or hotpath annotation) without a ` -- reason` clause is itself a "
-       "finding: an unexplained exception rots into a blanket ignore.",
+       "Every suppression must say why. An allow (or hotpath annotation) "
+       "without a ` -- reason` clause is itself a finding: an unexplained "
+       "exception rots into a blanket ignore.",
        "// h2r-lint: allow(rule) -- why this use is safe"},
       {"ban.async",
        "std::async completion order is scheduler-dependent; the crawl "
@@ -498,28 +489,6 @@ std::string explain_rule(std::string_view rule) {
        "C time APIs (time, gettimeofday, localtime, ...) read the wall "
        "clock; a simulated-time study must not.",
        "// h2r-lint: allow(ban.time) -- reason"},
-      {"contract.codec-coverage",
-       "Cross-TU: every field of a struct that has both a *to_json "
-       "encoder and a *from_json decoder must be serialized by the "
-       "encoder AND parsed by the decoder (member-pointer tables the "
-       "codec drives count). One-sided codec edits and forgotten fields "
-       "silently drop data across checkpoint/resume round-trips.",
-       "// contract: exclude(codec) -- reason   (on the field)\n"
-       "// contract: diagnostic -- reason       (excludes all contracts)"},
-      {"contract.eq-coverage",
-       "Cross-TU: every field of a struct with a hand-written operator== "
-       "must participate in the comparison; a field outside == is "
-       "invisible to every differential test. `= default` passes by "
-       "construction.",
-       "// contract: exclude(eq) -- reason      (on the field)\n"
-       "// contract: diagnostic -- reason       (excludes all contracts)"},
-      {"contract.merge-coverage",
-       "Cross-TU: every field of a struct with a merge()/add(const S&) "
-       "must be combined in it, wherever the defining TU lives. A field "
-       "missing from merge makes sharded runs drop data and threads=N "
-       "diverge from threads=1.",
-       "// contract: exclude(merge) -- reason   (on the field)\n"
-       "// contract: diagnostic -- reason       (excludes all contracts)"},
       {"env.getenv",
        "Raw getenv/setenv bypass the strict typed parsers in "
        "src/util/env.hpp; config read anywhere else escapes validation "
@@ -684,14 +653,15 @@ json::Value findings_to_json(const std::vector<Finding>& findings) {
   json::Array array;
   array.reserve(findings.size());
   for (const Finding& f : findings) {
+    const auto& [rule, path, line, severity, message, snippet, fix_hint] = f;
     json::Object obj;
-    obj.set("rule", f.rule);
-    obj.set("path", f.path);
-    obj.set("line", static_cast<std::int64_t>(f.line));
-    obj.set("severity", std::string(severity_name(f.severity)));
-    obj.set("message", f.message);
-    obj.set("snippet", f.snippet);
-    if (!f.fix_hint.empty()) obj.set("fix_hint", f.fix_hint);
+    obj.set("rule", rule);
+    obj.set("path", path);
+    obj.set("line", static_cast<std::int64_t>(line));
+    obj.set("severity", std::string(severity_name(severity)));
+    obj.set("message", message);
+    obj.set("snippet", snippet);
+    if (!fix_hint.empty()) obj.set("fix_hint", fix_hint);
     array.emplace_back(std::move(obj));
   }
   return json::Value(std::move(array));

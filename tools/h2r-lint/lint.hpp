@@ -43,27 +43,17 @@
 //
 // On top of the per-TU token rules sits the cross-TU contract pass
 // (model.hpp / contract.hpp), which builds a lightweight semantic model
-// of every scanned file together and proves relations no single-file
+// of every scanned file together and checks relations no single-file
 // scan can see:
 //
-//   contract.merge-coverage  every field of a struct with a merge()/add()
-//                  taking the struct itself is combined in it
-//   contract.codec-coverage  every field is both serialized by the
-//                  struct's *to_json and parsed by its *from_json
-//   contract.eq-coverage     every field participates in operator==
-//                  (defaulted ==/<=> passes by construction)
 //   lock.order     the lock-acquisition graph over all modeled mutexes
 //                  (members, namespace- and function-scope) is acyclic
 //   hotpath.alloc  no heap allocation inside functions annotated
 //                  `// h2r-lint: hotpath -- reason`
 //
-// Per-field contract annotations (audited, reason mandatory):
-//
-//   // contract: diagnostic -- <reason>
-//       excludes the field from merge, eq and codec coverage (the obs
-//       diagnostic-domain quarantine).
-//   // contract: exclude(merge|eq|codec[, ...]) -- <reason>
-//       excludes the field from the named rules only.
+// Field coverage of merge, operator== and the JSON codecs is not a lint
+// rule: records define their fields once, in a table the compiler checks
+// (src/util/fields.hpp, DESIGN §15).
 //
 // Suppression grammar (audited allows, not blanket ignores):
 //
@@ -108,9 +98,9 @@ struct Finding {
   Severity severity = Severity::kError;
   std::string message;
   std::string snippet;
-  /// A concrete remediation ("fold 'x' into Foo::merge, or annotate
-  /// `// contract: exclude(merge) -- why`"). Serialized only when
-  /// non-empty; never part of baseline identity.
+  /// A concrete remediation ("pick one global acquisition order for
+  /// these mutexes ..."). Serialized only when non-empty; never part of
+  /// baseline identity.
   std::string fix_hint;
 
   friend bool operator==(const Finding&, const Finding&) = default;
@@ -119,9 +109,9 @@ struct Finding {
 struct Options {
   /// Promote lock.* / hotpath.* warnings to errors (the CI posture).
   bool strict = false;
-  /// Run the cross-TU contract pass (contract.*, lock.order,
-  /// hotpath.alloc) over the scanned set. On by default; --no-contract
-  /// turns it off for token-rule-only scans.
+  /// Run the cross-TU contract pass (lock.order, hotpath.alloc) over
+  /// the scanned set. On by default; --no-contract turns it off for
+  /// token-rule-only scans.
   bool contract = true;
 };
 
@@ -134,8 +124,8 @@ std::string explain_rule(std::string_view rule);
 
 /// Scans one file's text. `path` is the repo-relative path used both for
 /// reporting and for path-scoped rules (env.getenv is legal inside
-/// src/util/env.*). The contract pass runs over the single file (a
-/// struct and its merge in one TU are still checked).
+/// src/util/env.*). The contract pass runs over the single file (a lock
+/// cycle within one TU is still found).
 std::vector<Finding> scan_source(std::string_view path, std::string_view text,
                                  const Options& options = {});
 

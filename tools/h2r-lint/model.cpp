@@ -135,8 +135,7 @@ struct Scope {
   bool templated = false;
   std::string type_name;   // kType
   std::size_t function_index = 0;  // kFunction: index into functions
-  std::string table_name;  // kInit at namespace scope: table to record
-  std::string table_text;  // captured initializer text
+  bool opaque = false;     // kInit at namespace scope: its braces are data
   bool keep_stmt = false;  // kInit for brace initializers: statement
                            // continues after the closing '}'
 };
@@ -161,64 +160,6 @@ std::string gather_comments(const std::vector<Line>& lines, int first_line,
     }
   }
   return out;
-}
-
-/// Parses `// contract: diagnostic -- why` / `// contract: exclude(a, b)
-/// -- why` out of a field's comments. Returns the excluded rule set;
-/// flags a malformed annotation through `issue`.
-std::set<std::string> parse_field_contract(std::string_view comments,
-                                           bool* malformed,
-                                           std::string* issue_text) {
-  std::set<std::string> excluded;
-  std::size_t tag = comments.find("contract:");
-  if (tag == std::string_view::npos) return excluded;
-  std::string_view rest = trim(comments.substr(tag + 9));
-  std::set<std::string> rules;
-  bool ok = false;
-  if (rest.rfind("diagnostic", 0) == 0) {
-    rules = {"merge", "eq", "codec"};
-    rest.remove_prefix(10);
-    ok = true;
-  } else if (rest.rfind("exclude(", 0) == 0) {
-    rest.remove_prefix(8);
-    const std::size_t close = rest.find(')');
-    if (close != std::string_view::npos) {
-      std::string_view list = rest.substr(0, close);
-      rest.remove_prefix(close + 1);
-      ok = true;
-      while (!list.empty()) {
-        const std::size_t comma = list.find(',');
-        const std::string rule{trim(list.substr(0, comma))};
-        if (rule != "merge" && rule != "eq" && rule != "codec") {
-          ok = false;
-          break;
-        }
-        rules.insert(rule);
-        if (comma == std::string_view::npos) break;
-        list.remove_prefix(comma + 1);
-      }
-    }
-  } else {
-    // Some other "contract:" prose; not an annotation.
-    return excluded;
-  }
-  // The reason clause is mandatory, exactly like allow(rule) -- reason.
-  bool has_reason = false;
-  std::string_view tail = trim(rest);
-  if (tail.rfind("--", 0) == 0) {
-    has_reason = !trim(tail.substr(2)).empty();
-  } else if (tail.rfind("\xE2\x80\x94", 0) == 0) {
-    has_reason = !trim(tail.substr(3)).empty();
-  }
-  if (!ok || !has_reason) {
-    *malformed = true;
-    *issue_text = std::string(trim(comments.substr(tag)));
-    // Cut at the first newline so the issue reads as one annotation.
-    const std::size_t nl = issue_text->find('\n');
-    if (nl != std::string::npos) issue_text->resize(nl);
-    return excluded;
-  }
-  return rules;
 }
 
 /// Whether the comments carry the hotpath function annotation (grammar
@@ -377,7 +318,7 @@ void index_function_body(FunctionDef& fn) {
 
 /// The statement-level scanner: walks the blanked code of every line,
 /// tracking brace depth and a scope stack, and materializes the file's
-/// structs, functions, tables and mutexes.
+/// structs, functions and mutexes.
 class FileParser {
  public:
   FileParser(std::string_view path, const std::vector<Line>& lines)
@@ -408,8 +349,8 @@ class FileParser {
  private:
   void append_to_function(char c) {
     // Every enclosing function scope receives the char: a lambda's body
-    // also belongs to the function it sits in, so field mentions inside
-    // lambdas still count toward coverage.
+    // also belongs to the function it sits in, so locks and calls inside
+    // lambdas still count.
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (it->kind == Scope::Kind::kFunction) {
         file_.functions[it->function_index].body += c;
@@ -417,20 +358,10 @@ class FileParser {
     }
   }
 
-  void append_to_capture(char c) {
+  /// True inside a namespace-scope initializer, whose text is skipped.
+  bool inside_opaque() const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->kind == Scope::Kind::kInit && !it->table_name.empty()) {
-        it->table_text += c;
-        return;
-      }
-    }
-  }
-
-  bool inside_capture() const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->kind == Scope::Kind::kInit && !it->table_name.empty()) {
-        return true;
-      }
+      if (it->opaque) return true;
     }
     return false;
   }
@@ -459,19 +390,13 @@ class FileParser {
 
   void consume_newline() {
     append_to_function('\n');
-    if (inside_capture()) append_to_capture('\n');
     if (!trim(stmt_).empty() && stmt_.back() != ' ') stmt_ += ' ';
   }
 
   void consume(char c) {
     append_to_function(c);
     if (c == '{') {
-      if (inside_capture()) {
-        append_to_capture(c);
-        ++depth_;
-        return;
-      }
-      open_brace();
+      if (!inside_opaque()) open_brace();
       ++depth_;
       return;
     }
@@ -479,15 +404,10 @@ class FileParser {
       --depth_;
       if (!scopes_.empty() && scopes_.back().open_depth == depth_) {
         close_scope();
-      } else if (inside_capture()) {
-        append_to_capture(c);
       }
       return;
     }
-    if (inside_capture()) {
-      append_to_capture(c);
-      return;
-    }
+    if (inside_opaque()) return;
     if (c == ';' && stmt_paren_depth_ <= 0) {
       end_statement();
       stmt_paren_depth_ = 0;
@@ -515,10 +435,7 @@ class FileParser {
       scope.keep_stmt = true;
     } else if (head == "namespace") {
       scope.kind = Scope::Kind::kNamespace;
-    } else if (head == "struct" || head == "class" ||
-               ((head == "typedef" || head == "mutable" ||
-                 head == "static") &&
-                false)) {
+    } else if (head == "struct" || head == "class") {
       scope.kind = Scope::Kind::kType;
       scope.is_struct = head == "struct";
       scope.templated = templated;
@@ -529,22 +446,15 @@ class FileParser {
     } else if (head == "enum" || head == "union" || head == "extern") {
       scope.kind = Scope::Kind::kBlock;
     } else if (find_top_level(stmt, '=') != std::string_view::npos) {
-      // Initializer: a namespace-scope `constexpr T kName[] = {...}`
-      // becomes a recorded table; any other brace init keeps its
+      // Initializer. A namespace-scope one (`constexpr T kName[] =
+      // {...}`) is data and skipped whole; any other brace init keeps its
       // statement alive across the braces (field default initializers).
       scope.kind = Scope::Kind::kInit;
       scope.keep_stmt = true;
-      if (!in_function() && innermost_type() == nullptr) {
-        std::string_view before_eq =
-            stmt.substr(0, find_top_level(stmt, '='));
-        while (!before_eq.empty() &&
-               (before_eq.back() == '[' || before_eq.back() == ']' ||
-                std::isspace(static_cast<unsigned char>(before_eq.back())))) {
-          before_eq.remove_suffix(1);
-        }
-        scope.table_name = last_ident(before_eq);
-      }
-    } else if (function_head(stmt, templated, &scope)) {
+      scope.opaque =
+          !in_function() && innermost_type() == nullptr &&
+          !last_ident(stmt.substr(0, find_top_level(stmt, '='))).empty();
+    } else if (function_head(stmt, &scope)) {
       // scope filled in by function_head.
     } else if (!trim(stmt).empty() &&
                (at_member_level() || innermost_type() == nullptr) &&
@@ -561,7 +471,7 @@ class FileParser {
 
   /// Tries to parse `stmt` as a function definition header; fills `scope`
   /// and registers the FunctionDef when it is one.
-  bool function_head(std::string_view stmt, bool templated, Scope* scope) {
+  bool function_head(std::string_view stmt, Scope* scope) {
     // `operator==` / `operator<=>` need special carving (their '=' and
     // '<' would confuse the generic scan).
     std::size_t paren = std::string_view::npos;
@@ -596,38 +506,18 @@ class FileParser {
 
     FunctionDef fn;
     fn.name = name;
-    fn.templated = templated;
     fn.path = std::string(path_);
     fn.header_line = stmt_start_line_;
     fn.body_begin_line = cur_line_;
     // Out-of-line qualifier: the identifier before the trailing `::`.
-    std::string_view before_name = stmt.substr(0, stmt.rfind(name, paren));
-    before_name = trim(before_name);
+    const std::string_view before_name =
+        trim(stmt.substr(0, stmt.rfind(name, paren)));
     if (before_name.size() >= 2 &&
         before_name.substr(before_name.size() - 2) == "::") {
       fn.qualifier = last_ident(before_name.substr(0, before_name.size() - 2));
-      before_name = before_name.substr(0, before_name.size() - 2);
-      // Drop the qualifier chain from the return text.
-      while (!before_name.empty() &&
-             (ident_char(before_name.back()) || before_name.back() == ':')) {
-        before_name.remove_suffix(1);
-      }
     } else if (Scope* type = innermost_type(); type != nullptr) {
       fn.qualifier = type->type_name;
-      fn.templated = fn.templated || type->templated;
     }
-    fn.return_text = std::string(before_name);
-    // Parameter text: the balanced group starting at `paren`.
-    int depth = 0;
-    std::size_t params_end = paren;
-    for (std::size_t i = paren; i < stmt.size(); ++i) {
-      if (stmt[i] == '(') ++depth;
-      if (stmt[i] == ')' && --depth == 0) {
-        params_end = i;
-        break;
-      }
-    }
-    fn.params = std::string(stmt.substr(paren + 1, params_end - paren - 1));
 
     const std::string comments =
         gather_comments(lines_, stmt_start_line_, cur_line_);
@@ -649,16 +539,10 @@ class FileParser {
     scopes_.pop_back();
     switch (scope.kind) {
       case Scope::Kind::kType:
-        if (scope.is_struct && pending_struct_ != nullptr) {
-          // finalized below through pending_structs_ stack
-        }
         finalize_type(scope);
         stmt_.clear();
         break;
       case Scope::Kind::kInit:
-        if (!scope.table_name.empty()) {
-          file_.tables[scope.table_name] = std::move(scope.table_text);
-        }
         if (scope.keep_stmt) {
           stmt_ += " {} ";  // stand-in so the tail still ends in ';'
         } else {
@@ -692,8 +576,6 @@ class FileParser {
     if (it == open_structs_.end()) {
       StructModel model;
       model.name = type.type_name;
-      model.path = std::string(path_);
-      model.line = cur_line_;
       model.templated = type.templated;
       it = open_structs_.emplace(key, std::move(model)).first;
     }
@@ -729,17 +611,6 @@ class FileParser {
     StructModel& model = open_struct(*type);
     model.templated = model.templated || type->templated;
 
-    // Defaulted equality: operator== or operator<=> ... = default.
-    if ((stmt.find("operator==") != std::string_view::npos ||
-         stmt.find("operator ==") != std::string_view::npos ||
-         stmt.find("operator<=>") != std::string_view::npos)) {
-      model.declares_eq = true;
-      if (stmt.find("default") != std::string_view::npos) {
-        model.defaulted_eq = true;
-      }
-      return;
-    }
-
     const std::string head = first_ident(stmt);
     if (head == "using" || head == "typedef" || head == "friend" ||
         head == "static" || head == "enum" || head == "struct" ||
@@ -767,27 +638,9 @@ class FileParser {
             std::isspace(static_cast<unsigned char>(decl_part.back())))) {
       decl_part.remove_suffix(1);
     }
-    const std::string name = last_ident(decl_part);
+    std::string name = last_ident(decl_part);
     if (name.empty()) return;
-    // `std::atomic<...>` members and bare references are not mergeable
-    // value state either, but they ARE fields the contract covers — a
-    // struct holding them next to merged counters is already suspect.
-
-    FieldDecl field;
-    field.name = name;
-    field.path = std::string(path_);
-    field.line = cur_line_;
-    field.decl = std::string(trim(raw));
-    const std::string comments =
-        gather_comments(lines_, stmt_start_line_, cur_line_);
-    bool malformed = false;
-    std::string issue_text;
-    field.excluded = parse_field_contract(comments, &malformed, &issue_text);
-    if (malformed) {
-      file_.annotation_issues.push_back(
-          {std::string(path_), stmt_start_line_, issue_text});
-    }
-    model.fields.push_back(std::move(field));
+    model.fields.push_back({std::move(name), std::string(trim(raw))});
   }
 
   std::string_view path_;
@@ -795,7 +648,6 @@ class FileParser {
   FileModel file_;
   std::vector<Scope> scopes_;
   std::map<std::string, StructModel> open_structs_;
-  StructModel* pending_struct_ = nullptr;
   std::string stmt_;
   int stmt_paren_depth_ = 0;  // ';' inside for(..;..;..) is not a terminator
   int stmt_start_line_ = 1;
@@ -807,13 +659,6 @@ class FileParser {
 
 FileModel parse_file(std::string_view path, const std::vector<Line>& lines) {
   return FileParser(path, lines).run();
-}
-
-const std::string* Model::find_table(const FileModel& file,
-                                     const std::string& name) const {
-  const auto it = file.tables.find(name);
-  if (it != file.tables.end()) return &it->second;
-  return nullptr;
 }
 
 Model build_model(const std::vector<FileModel>& files) {

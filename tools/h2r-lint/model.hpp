@@ -1,22 +1,15 @@
 // h2r-lint's cross-TU semantic model (AST-lite, no libclang).
 //
-// The per-TU token rules can ban an API wherever it appears, but the
-// repo's load-bearing invariants are RELATIONS between translation units:
-// a struct's fields live in one header, its merge() in a .cpp, its JSON
-// codec pair in a third file — and "added a field, forgot one of
-// merge()/operator==/to_json/from_json" is invisible to any single-file
-// scan. This model is the minimum structure needed to prove those
-// relations mechanically:
+// The per-TU token rules can ban an API wherever it appears, but lock
+// ordering is a RELATION between translation units: a mutex is declared
+// in one header, taken in one .cpp and taken again, transitively, by a
+// function in another. This model is the minimum structure needed to
+// check that relation and the hot-path allocation rule mechanically:
 //
-//   * struct definitions with their field lists (and per-field
-//     `// contract:` annotations),
-//   * every free or member function definition with its (blanked) body,
-//     qualifier, parameter text and return text — enough to associate
-//     merge()/add(), operator==, *to_json / *from_json functions back to
-//     the struct they serve, wherever the defining TU lives,
-//   * namespace-scope initializer tables (constexpr Field kX[] = {...})
-//     so codecs driven by member-pointer tables still count as covering
-//     the fields those tables name,
+//   * struct definitions with their field lists (hotpath.alloc resolves
+//     a push_back receiver's backing through them),
+//   * every free or member function definition with its (blanked) body
+//     and qualifier,
 //   * mutex declarations (identity = EnclosingType::name, or file::name
 //     for locals) and, per function, the lock acquisitions and call
 //     sites in body order — the raw material of the lock-order graph,
@@ -24,15 +17,12 @@
 //     allocation rule.
 //
 // Deliberate non-goals (DESIGN §15): templates are not instantiated
-// (templated structs/functions are skipped), macros are not expanded,
-// and `class` types are trusted to police their own invariants through
-// their accessors — the contract rules cover aggregate `struct`s, which
-// is where every merge/codec/equality surface in this repo lives.
+// (templated structs are skipped), macros are not expanded, and `class`
+// fields are not modeled.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,13 +33,7 @@ namespace h2r::lint {
 
 struct FieldDecl {
   std::string name;
-  std::string path;  // file declaring the field
-  int line = 0;      // 1-based line of the declaration's end (the ';')
-  std::string decl;  // trimmed declaration text (snippet / baseline id)
-  /// Contract rules ("merge", "eq", "codec") this field is excluded from
-  /// via the per-field exclude/diagnostic annotations (grammar in
-  /// lint.hpp — spelling it out here would parse as an annotation).
-  std::set<std::string> excluded;
+  std::string decl;  // trimmed declaration text
 };
 
 /// A lock acquisition or a call site inside one function body, in body
@@ -70,13 +54,10 @@ struct FunctionDef {
   std::string name;        // unqualified ("merge", "operator==", ...)
   std::string qualifier;   // "Class" for out-of-line Class::name, or the
                            // enclosing type for in-class definitions
-  std::string return_text; // header text before the (qualified) name
-  std::string params;      // blanked text inside the parameter parens
   std::string path;
   int header_line = 0;     // line the header's `(` is on
   int body_begin_line = 0;
   std::string body;        // blanked code of the body (braces excluded)
-  bool templated = false;
   bool hotpath = false;            // `// h2r-lint: hotpath -- reason`
   bool hotpath_missing_reason = false;
   int hotpath_line = 0;
@@ -86,15 +67,8 @@ struct FunctionDef {
 
 struct StructModel {
   std::string name;  // unqualified
-  std::string path;
-  int line = 0;
   bool templated = false;
   std::vector<FieldDecl> fields;
-  /// True when the struct declares `operator==` or `operator<=>` with
-  /// `= default` — every field participates by construction.
-  bool defaulted_eq = false;
-  /// True when any operator== is declared (defaulted or not).
-  bool declares_eq = false;
 };
 
 struct MutexDecl {
@@ -104,22 +78,11 @@ struct MutexDecl {
   int line = 0;
 };
 
-/// Malformed `// contract:` / hotpath annotations found while parsing
-/// (reported by the contract pass as allow.reason findings).
-struct AnnotationIssue {
-  std::string path;
-  int line = 0;
-  std::string text;  // the offending comment, trimmed
-};
-
 struct FileModel {
   std::string path;
   std::vector<StructModel> structs;
   std::vector<FunctionDef> functions;
   std::vector<MutexDecl> mutexes;
-  /// Namespace-scope initializer tables: name -> blanked initializer text.
-  std::map<std::string, std::string> tables;
-  std::vector<AnnotationIssue> annotation_issues;
 };
 
 /// Parses one lexed file into its model. `path` is repo-relative.
@@ -131,15 +94,11 @@ struct Model {
 
   /// Structs by unqualified name. Name collisions across namespaces merge
   /// into the first definition seen (acceptable over-approximation for a
-  /// linter; an annotation can always silence a false positive).
+  /// linter; an allow annotation can always silence a false positive).
   std::map<std::string, const StructModel*> structs;
   /// All function definitions sharing an unqualified name.
   std::map<std::string, std::vector<const FunctionDef*>> functions_by_name;
   std::vector<const MutexDecl*> mutexes;
-
-  /// Resolves a table reference from `file`: same-file tables win.
-  const std::string* find_table(const FileModel& file,
-                                const std::string& name) const;
 };
 
 Model build_model(const std::vector<FileModel>& files);

@@ -11,7 +11,7 @@ if(code EQUAL 0)
 elseif(code EQUAL 1)
   message(FATAL_ERROR
     "h2r-lint: findings at error severity (exit 1) — fix the code or "
-    "annotate with an audited allow/contract exclusion")
+    "annotate with an audited allow")
 else()
   message(FATAL_ERROR
     "h2r-lint: INTERNAL ERROR (exit ${code}), not a lint verdict — the "

@@ -19,10 +19,12 @@
 //
 // Everything the subcommands do is plain library API — the tool exists so
 // operators can audit a deployment without writing C++.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +43,7 @@
 #include "pool/pool.hpp"
 #include "pool/replay.hpp"
 #include "stats/table.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 #include "web/catalog.hpp"
 #include "web/config.hpp"
@@ -81,6 +84,17 @@ int usage() {
                "             H2R_POLICY_CERT_CONSOLIDATION / "
                "H2R_POLICY_IGNORE_CREDENTIALS — restrict the swept knobs\n");
   return 2;
+}
+
+/// A numeric flag value under env_u64's whole-string rule; nullopt, after
+/// naming the flag on stderr, when it is malformed or below `minimum`.
+std::optional<std::uint64_t> flag_u64(const char* flag, const char* text,
+                                      std::uint64_t minimum) {
+  const auto value = util::parse_u64(text);
+  if (value && *value >= minimum) return value;
+  std::fprintf(stderr, "%s wants an integer >= %llu, got '%s'\n", flag,
+               static_cast<unsigned long long>(minimum), text);
+  return std::nullopt;
 }
 
 util::Expected<std::string> read_file(const char* path) {
@@ -175,8 +189,10 @@ int cmd_study(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
       config.spill_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--hist-budget") == 0 && i + 1 < argc) {
-      config.hist_budget =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto budget = flag_u64("--hist-budget", argv[++i], 1);
+      if (!budget) return 2;
+      config.hist_budget = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(*budget, 0xFFFFFFFFull));
     } else {
       return usage();
     }
@@ -291,9 +307,9 @@ int cmd_optimize(int argc, char** argv) {
   const char* json_out = nullptr;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      config.sites = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-      if (config.sites == 0) return usage();
+      const auto sites = flag_u64("--sites", argv[++i], 1);
+      if (!sites) return 2;
+      config.sites = static_cast<std::size_t>(*sites);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
@@ -364,7 +380,9 @@ int cmd_replay(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      sites = std::strtoull(argv[++i], nullptr, 10);
+      const auto count = flag_u64("--sites", argv[++i], 1);
+      if (!count) return 2;
+      sites = static_cast<std::size_t>(*count);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
@@ -581,9 +599,10 @@ int main(int argc, char** argv) {
     return cmd_dns_overlap(argc - 2, argv + 2);
   }
   if (std::strcmp(cmd, "snapshot") == 0 && (argc == 3 || argc == 4)) {
-    const std::size_t count =
-        argc == 4 ? std::strtoull(argv[3], nullptr, 10) : 100;
-    return cmd_snapshot(argv[2], count);
+    const auto count =
+        argc == 4 ? flag_u64("site-count", argv[3], 1) : std::uint64_t{100};
+    if (!count) return 2;
+    return cmd_snapshot(argv[2], static_cast<std::size_t>(*count));
   }
   if (std::strcmp(cmd, "analyze") == 0 && argc == 3) {
     return cmd_analyze(argv[2]);
