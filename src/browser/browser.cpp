@@ -15,16 +15,7 @@ namespace h2r::browser {
 
 namespace {
 
-std::string join_list(const std::vector<std::string>& items) {
-  std::string out;
-  for (const std::string& item : items) {
-    if (!out.empty()) out.push_back(',');
-    out += item;
-  }
-  return out;
-}
-
-/// Strips "https://" from an ASCII origin for NetLog params.
+/// Strips "https://" from an ASCII origin for the NetLog ORIGIN event.
 std::string origin_to_host(const std::string& origin) {
   const std::size_t pos = origin.find("://");
   return pos == std::string::npos ? origin : origin.substr(pos + 3);
@@ -38,9 +29,11 @@ Browser::Browser(const web::Ecosystem& eco, dns::RecursiveResolver& resolver,
       seed_(seed) {}
 
 util::SimTime Browser::rtt_to(const net::IpAddress& address) const {
-  // Deterministic per-/24 RTT: base + [0, 40) ms.
+  // Deterministic per-/24 RTT: base + [0, 40) ms, hashed from the /24's
+  // text form without building a string.
+  net::IpAddress::TextBuffer text{};
   const std::uint64_t h =
-      util::hash_seed(0x5157, address.slash24().to_string());
+      util::hash_seed(0x5157, address.slash24().format(text));
   return options_.base_rtt + static_cast<util::SimTime>(h % 40);
 }
 
@@ -57,18 +50,11 @@ const web::Server* Browser::server_at(
 dns::Resolution Browser::resolve(PageState& page, const std::string& host,
                                  util::SimTime now) {
   dns::Resolution res = resolver_.resolve(host, now);
-  std::vector<std::string> addresses;
-  addresses.reserve(res.addresses.size());
-  for (const net::IpAddress& ip : res.addresses) {
-    addresses.push_back(ip.to_string());
-  }
-  netlog::ParamList params{
-      {"host", host},
-      {"addresses", join_list(addresses)},
-      {"from_cache", res.from_cache ? "1" : "0"}};
-  if (res.injected_fault) params.emplace_back("fault", "1");
   page.log.record(netlog::EventType::kDnsResolved, now, 0,
-                  std::move(params));
+                  netlog::DnsResolved{.host = host,
+                                      .addresses = res.addresses,
+                                      .from_cache = res.from_cache,
+                                      .fault = res.injected_fault});
   if (page.trace_root >= 0) {
     const int span = page.result.trace.begin_span("dns.resolve", now,
                                                   page.trace_root);
@@ -104,7 +90,7 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
     if (res.injected_fault) {
       status.injected_fault = true;
       page.log.record(netlog::EventType::kConnectFailed, now, 0,
-                      {{"host", host}, {"cause", "dns"}});
+                      netlog::ConnectFailed{.host = host, .cause = "dns"});
     }
     status.ok = false;
     return 0;
@@ -126,7 +112,7 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
           session.peer().port == 443;
       if (!ip_match || !session.allows_authority(host)) continue;
       page.log.record(netlog::EventType::kSessionAliasReused, now,
-                      session.id(), {{"host", host}});
+                      session.id(), netlog::HostOnly{.host = host});
       ++page.result.alias_reuses;
       page.group_slot(host, privacy) = i;  // register for future group hits
       return i;
@@ -141,8 +127,9 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
       if (!session.is_open() || session.privacy_mode() != privacy) continue;
       if (!session.has_origin_set()) continue;
       if (!session.allows_authority(host)) continue;
-      page.log.record(netlog::EventType::kSessionAliasReused, now,
-                      session.id(), {{"host", host}, {"via", "origin"}});
+      page.log.record(
+          netlog::EventType::kSessionAliasReused, now, session.id(),
+          netlog::HostOnly{.host = host, .via_origin = true});
       ++page.result.origin_frame_reuses;
       page.group_slot(host, privacy) = i;
       return i;
@@ -174,10 +161,9 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
   if (!conn.ok) {
     status.ok = false;
     status.injected_fault = conn.injected_fault;
-    page.log.record(netlog::EventType::kConnectFailed, now, 0,
-                    {{"host", host},
-                     {"ip", address.to_string()},
-                     {"cause", "connect"}});
+    page.log.record(
+        netlog::EventType::kConnectFailed, now, 0,
+        netlog::ConnectFailed{.host = host, .ip = address, .cause = "connect"});
     return 0;
   }
 
@@ -188,10 +174,9 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
     status.ok = false;  // certificate errors are not ignored
     status.injected_fault = tls_result.injected_fault;
     if (tls_result.injected_fault) {
-      page.log.record(netlog::EventType::kConnectFailed, now, 0,
-                      {{"host", host},
-                       {"ip", address.to_string()},
-                       {"cause", "tls"}});
+      page.log.record(
+          netlog::EventType::kConnectFailed, now, 0,
+          netlog::ConnectFailed{.host = host, .ip = address, .cause = "tls"});
     }
     return 0;
   }
@@ -220,6 +205,7 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
   entry.available_at = now + handshake;
   entry.last_activity = now;
   entry.idle_timeout = server->idle_timeout();
+  entry.rtt = rtt;
   if (page.trace_root >= 0) {
     obs::Trace& trace = page.result.trace;
     entry.trace_span = trace.begin_span("h2.session", now, page.trace_root);
@@ -231,29 +217,27 @@ std::size_t Browser::acquire_session(PageState& page, const std::string& host,
     trace.end_span(hs, entry.available_at);
   }
 
-  page.log.record(
-      netlog::EventType::kSessionCreated, now, entry.session->id(),
-      {{"ip", address.to_string()},
-       {"port", "443"},
-       {"domain", host},
-       {"protocol", use_h3 ? "h3" : "h2"},
-       {"privacy", privacy ? "1" : "0"},
-       {"cert_sans", join_list(cert->san_dns_names())},
-       {"cert_issuer", cert->issuer_organization()},
-       {"cert_serial", std::to_string(cert->serial())},
-       {"operator", server->operator_name()},
-       {"served", join_list(server->served_domains())}});
+  page.log.record(netlog::EventType::kSessionCreated, now,
+                  entry.session->id(),
+                  netlog::SessionCreated{
+                      .endpoint = net::Endpoint{address, 443},
+                      .domain = host,
+                      .h3 = use_h3,
+                      .privacy = privacy,
+                      .certificate = std::move(cert),
+                      .operator_name = server->operator_name(),
+                      .served = server->served_domains()});
   page.log.record(netlog::EventType::kSessionAvailable, entry.available_at,
-                  entry.session->id(), {});
+                  entry.session->id());
 
   if (options_.support_origin_frame && server->origin_frame().has_value()) {
     entry.session->receive_origin_frame(*server->origin_frame());
-    std::vector<std::string> hosts;
+    netlog::OriginFrame frame;
     for (const std::string& origin : server->origin_frame()->origins) {
-      hosts.push_back(origin_to_host(origin));
+      frame.origins.push_back(origin_to_host(origin));
     }
     page.log.record(netlog::EventType::kOriginFrame, entry.available_at,
-                    entry.session->id(), {{"origins", join_list(hosts)}});
+                    entry.session->id(), std::move(frame));
   }
 
   page.sessions.push_back(std::move(entry));
@@ -340,11 +324,9 @@ Browser::FetchOutcome Browser::fetch(PageState& page, const std::string& host,
   request.started_at = now;
   const http2::StreamId stream = session.submit_request(request);
   page.log.record(netlog::EventType::kRequestStarted, now, session.id(),
-                  {{"domain", host},
-                   {"method", "GET"},
-                   {"stream", std::to_string(stream)}});
+                  netlog::RequestStarted{.domain = host, .stream = stream});
 
-  const util::SimTime rtt = rtt_to(session.peer().address);
+  const util::SimTime rtt = entry.rtt;
   const util::SimTime start = std::max(now, entry.available_at);
 
   // Mid-stream faults: the server resets this stream, or tears the whole
@@ -354,9 +336,9 @@ Browser::FetchOutcome Browser::fetch(PageState& page, const std::string& host,
   if (page.plan.fire(fault::FaultKind::kRstStream)) {
     const util::SimTime reset_at = start + rtt;
     session.reset_stream(stream, http2::ErrorCode::kRefusedStream, reset_at);
-    page.log.record(netlog::EventType::kStreamReset, reset_at, session.id(),
-                    {{"stream", std::to_string(stream)},
-                     {"cause", "injected"}});
+    page.log.record(
+        netlog::EventType::kStreamReset, reset_at, session.id(),
+        netlog::StreamReset{.stream = stream, .cause = "injected"});
     entry.last_activity = reset_at;
     FetchOutcome outcome;
     outcome.injected_fault = true;
@@ -368,13 +350,12 @@ Browser::FetchOutcome Browser::fetch(PageState& page, const std::string& host,
     session.receive_goaway(http2::ErrorCode::kInternalError);
     session.reset_stream(stream, http2::ErrorCode::kRefusedStream, goaway_at);
     page.log.record(netlog::EventType::kStreamReset, goaway_at, session.id(),
-                    {{"stream", std::to_string(stream)},
-                     {"cause", "goaway"}});
+                    netlog::StreamReset{.stream = stream, .cause = "goaway"});
     page.log.record(netlog::EventType::kSessionGoaway, goaway_at,
-                    session.id(), {{"cause", "injected"}});
+                    session.id(), netlog::Goaway{.cause = "injected"});
     session.close(goaway_at);
     page.log.record(netlog::EventType::kSessionClosed, goaway_at,
-                    session.id(), {});
+                    session.id());
     FetchOutcome outcome;
     outcome.injected_fault = true;
     outcome.finished_at = goaway_at;
@@ -391,15 +372,14 @@ Browser::FetchOutcome Browser::fetch(PageState& page, const std::string& host,
       static_cast<util::SimTime>(page.rng.uniform(0, 12));
   session.complete_request(stream, status, finish);
   page.log.record(netlog::EventType::kRequestFinished, finish, session.id(),
-                  {{"stream", std::to_string(stream)},
-                   {"status", std::to_string(status)}});
+                  netlog::RequestFinished{.stream = stream, .status = status});
   entry.last_activity = finish;
 
   if (status == 421) {
     // Server refuses the coalesced authority: mark and retry once on a
     // dedicated connection (RFC 7540 §9.1.2).
     page.log.record(netlog::EventType::kMisdirected, finish, session.id(),
-                    {{"domain", host}});
+                    netlog::HostOnly{.host = host});
     ++page.result.misdirected_retries;
     if (!is_retry) {
       return fetch(page, host, path, destination, privacy, with_cookie,
@@ -437,9 +417,9 @@ Browser::FetchOutcome Browser::fetch_with_retry(
     ++attempt;
     ++page.result.failures.retries;
     page.log.record(netlog::EventType::kFetchRetry, retry_at, 0,
-                    {{"host", host},
-                     {"attempt", std::to_string(attempt)},
-                     {"backoff_ms", std::to_string(backoff)}});
+                    netlog::FetchRetry{.host = host,
+                                       .attempt = attempt,
+                                       .backoff_ms = backoff});
     outcome = fetch(page, host, path, destination, privacy, with_cookie,
                     size_bytes, retry_at, /*is_retry=*/false,
                     /*fresh_connection=*/true);
@@ -463,7 +443,8 @@ void Browser::preconnect(PageState& page, const std::string& host,
                       /*fresh_connection=*/false, acquired);
   if (acquired.ok) {
     page.log.record(netlog::EventType::kPreconnect, now,
-                    page.sessions[index].session->id(), {{"host", host}});
+                    page.sessions[index].session->id(),
+                    netlog::HostOnly{.host = host});
   }
 }
 
@@ -565,10 +546,10 @@ util::SimTime Browser::run_page(PageState& page,
       if (!deadline_fired) {
         deadline_fired = true;
         page.result.failures.deadline_exceeded += 1;
-        page.log.record(
-            netlog::EventType::kDeadlineExceeded, deadline_at, 0,
-            {{"budget_ms", std::to_string(options_.site_deadline)},
-             {"pending", std::to_string(queue.size() + 1)}});
+        page.log.record(netlog::EventType::kDeadlineExceeded, deadline_at, 0,
+                        netlog::DeadlineExceeded{
+                            .budget_ms = options_.site_deadline,
+                            .pending = queue.size() + 1});
       }
       if (!pending.resource->preconnect) {
         ++page.result.failures.degraded_resources;
@@ -605,9 +586,9 @@ void Browser::close_idle_sessions(PageState& page, util::SimTime until) {
     const util::SimTime close_at = entry.last_activity + *entry.idle_timeout;
     if (close_at <= until) {
       page.log.record(netlog::EventType::kSessionGoaway, close_at,
-                      entry.session->id(), {});
+                      entry.session->id(), netlog::Goaway{});
       page.log.record(netlog::EventType::kSessionClosed, close_at,
-                      entry.session->id(), {});
+                      entry.session->id());
       entry.session->receive_goaway(http2::ErrorCode::kNoError);
       entry.session->close(close_at);
     }
@@ -690,7 +671,7 @@ PageLoadResult Browser::load(const web::Website& site,
     page.result.failures.degraded_sites = 1;
   }
   page.result.log = std::move(page.log);
-  return page.result;
+  return std::move(page.result);
 }
 
 VisitResult Browser::visit(

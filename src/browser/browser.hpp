@@ -87,7 +87,15 @@ struct BrowserOptions {
   bool record_trace = false;
 };
 
+/// Move-only: a result carries the page's whole NetLog, so a copy is
+/// never an accident — code that needs one must build it explicitly.
 struct PageLoadResult {
+  PageLoadResult() = default;
+  PageLoadResult(const PageLoadResult&) = delete;
+  PageLoadResult& operator=(const PageLoadResult&) = delete;
+  PageLoadResult(PageLoadResult&&) noexcept = default;
+  PageLoadResult& operator=(PageLoadResult&&) noexcept = default;
+
   bool reachable = true;
   /// Exact connection records, stitched from the NetLog.
   core::SiteObservation observation;
@@ -124,7 +132,14 @@ struct VisitPageStats {
 
 /// Result of a multi-page visit: per-page counters plus ONE cumulative
 /// observation (connections persist across the pages of a visit).
+/// Move-only, like PageLoadResult.
 struct VisitResult {
+  VisitResult() = default;
+  VisitResult(const VisitResult&) = delete;
+  VisitResult& operator=(const VisitResult&) = delete;
+  VisitResult(VisitResult&&) noexcept = default;
+  VisitResult& operator=(VisitResult&&) noexcept = default;
+
   std::vector<VisitPageStats> pages;
   core::SiteObservation observation;
   netlog::NetLog log;
@@ -169,6 +184,8 @@ class Browser {
     /// session points at never changes within a load) so the per-page
     /// idle sweep skips the address -> server lookup.
     std::optional<util::SimTime> idle_timeout;
+    /// Round trip to the peer, fixed at connect time (rtt_to).
+    util::SimTime rtt = 0;
     int trace_span = -1;  // h2.session span index when tracing
   };
 

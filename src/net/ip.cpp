@@ -1,7 +1,6 @@
 #include "net/ip.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/strings.hpp"
@@ -159,12 +158,17 @@ util::Expected<IpAddress> IpAddress::parse(std::string_view text) {
   return parse_v4(text);
 }
 
-std::string IpAddress::to_string() const {
-  char buf[64];
+std::string_view IpAddress::format(TextBuffer& out) const noexcept {
+  char* p = out.data();
   if (is_v4()) {
-    std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", bytes_[0], bytes_[1],
-                  bytes_[2], bytes_[3]);
-    return buf;
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (i > 0) *p++ = '.';
+      const unsigned octet = bytes_[i];
+      if (octet >= 100) *p++ = static_cast<char>('0' + octet / 100);
+      if (octet >= 10) *p++ = static_cast<char>('0' + octet / 10 % 10);
+      *p++ = static_cast<char>('0' + octet % 10);
+    }
+    return {out.data(), static_cast<std::size_t>(p - out.data())};
   }
   // RFC 5952 canonical form: compress the longest run of zero groups.
   std::array<std::uint16_t, 8> groups{};
@@ -189,19 +193,30 @@ std::string IpAddress::to_string() const {
   }
   if (best_len < 2) best_start = -1;  // Don't compress a single zero group.
 
-  std::string out;
+  static constexpr char kHex[] = "0123456789abcdef";
   for (int i = 0; i < 8;) {
     if (i == best_start) {
-      out += "::";
+      *p++ = ':';
+      *p++ = ':';
       i += best_len;
       continue;
     }
-    if (!out.empty() && out.back() != ':') out.push_back(':');
-    std::snprintf(buf, sizeof(buf), "%x", groups[static_cast<std::size_t>(i)]);
-    out += buf;
+    if (p != out.data() && p[-1] != ':') *p++ = ':';
+    // Lowercase hex without leading zeros.
+    const unsigned group = groups[static_cast<std::size_t>(i)];
+    for (int shift = 12; shift >= 0; shift -= 4) {
+      if (shift == 0 || group >> shift != 0) {
+        *p++ = kHex[(group >> shift) & 0xFu];
+      }
+    }
     ++i;
   }
-  return out;
+  return {out.data(), static_cast<std::size_t>(p - out.data())};
+}
+
+std::string IpAddress::to_string() const {
+  TextBuffer text{};
+  return std::string(format(text));
 }
 
 std::strong_ordering operator<=>(const IpAddress& a,

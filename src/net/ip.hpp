@@ -59,6 +59,15 @@ class IpAddress {
   /// the paper uses when discussing "same /24" load balancing.
   IpAddress slash24() const noexcept;
 
+  /// Room for the longest text form: a full IPv6 address, eight groups
+  /// of four hex digits and seven colons.
+  using TextBuffer = std::array<char, 39>;
+
+  /// Writes the text form into `out` (dotted quad for v4, RFC 5952 for v6)
+  /// and returns it as a view of `out`. to_string() copies this, so hashing
+  /// the view hashes the same bytes without a heap string.
+  std::string_view format(TextBuffer& out) const noexcept;
+
   std::string to_string() const;
 
   friend std::strong_ordering operator<=>(const IpAddress& a,

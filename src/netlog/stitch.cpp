@@ -1,21 +1,35 @@
 #include "netlog/stitch.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
+#include <utility>
 
-#include "net/ip.hpp"
 #include "util/strings.hpp"
 
 namespace h2r::netlog {
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& joined) {
+/// A session being rebuilt, plus where each of its streams' requests sit.
+struct OpenSession {
+  core::ConnectionRecord record;
+  /// (stream id, index into record.requests); the latest start of a
+  /// stream id wins, so lookups scan from the back.
+  std::vector<std::pair<std::uint64_t, std::size_t>> streams;
+
+  core::RequestRecord* request(std::uint64_t stream) {
+    for (auto it = streams.rbegin(); it != streams.rend(); ++it) {
+      if (it->first == stream) return &record.requests[it->second];
+    }
+    return nullptr;
+  }
+};
+
+/// `items` without its empty entries.
+std::vector<std::string> non_empty(const std::vector<std::string>& items) {
   std::vector<std::string> out;
-  if (joined.empty()) return out;
-  for (std::string_view part : util::split(joined, ',')) {
-    if (!part.empty()) out.emplace_back(part);
+  out.reserve(items.size());
+  for (const std::string& item : items) {
+    if (!item.empty()) out.push_back(item);
   }
   return out;
 }
@@ -27,94 +41,97 @@ core::SiteObservation stitch_site(const std::string& site_url,
   core::SiteObservation site;
   site.site_url = site_url;
 
-  std::map<std::uint64_t, core::ConnectionRecord> sessions;
-  // (session, stream) -> index into the record's request list.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> streams;
+  // A page holds a few dozen sessions at most: a flat list searched from
+  // the newest beats a map's node per session.
+  std::vector<OpenSession> sessions;
+  auto find = [&sessions](std::uint64_t id) -> OpenSession* {
+    for (auto it = sessions.rbegin(); it != sessions.rend(); ++it) {
+      if (it->record.id == id) return &*it;
+    }
+    return nullptr;
+  };
 
   for (const Event& e : log.events()) {
     switch (e.type) {
       case EventType::kSessionCreated: {
-        core::ConnectionRecord rec;
+        const auto& created = std::get<SessionCreated>(e.payload);
+        // A re-created id replaces the earlier session.
+        OpenSession* session = find(e.source_id);
+        if (session != nullptr) {
+          *session = OpenSession{};
+        } else {
+          session = &sessions.emplace_back();
+        }
+        core::ConnectionRecord& rec = session->record;
         rec.id = e.source_id;
-        auto ip = net::IpAddress::parse(e.param("ip"));
-        if (ip.has_value()) rec.endpoint.address = ip.value();
-        rec.endpoint.port = static_cast<std::uint16_t>(
-            std::strtoul(e.param("port").c_str(), nullptr, 10));
-        rec.initial_domain = util::to_lower(e.param("domain"));
+        rec.endpoint = created.endpoint;
+        rec.initial_domain = util::to_lower(created.domain);
         rec.opened_at = e.time;
-        rec.san_dns_names = split_list(e.param("cert_sans"));
-        rec.issuer_organization = e.param("cert_issuer");
-        rec.certificate_serial =
-            std::strtoull(e.param("cert_serial").c_str(), nullptr, 10);
+        if (created.certificate != nullptr) {
+          rec.san_dns_names = non_empty(created.certificate->san_dns_names());
+          rec.issuer_organization =
+              created.certificate->issuer_organization();
+          rec.certificate_serial = created.certificate->serial();
+        }
         rec.has_certificate = !rec.san_dns_names.empty();
-        if (!e.param("protocol").empty()) rec.protocol = e.param("protocol");
-        rec.privacy = e.param("privacy") == "1";
-        rec.operator_name = e.param("operator");
-        rec.served_domains = split_list(e.param("served"));
-        sessions[e.source_id] = std::move(rec);
+        if (created.h3) rec.protocol = "h3";
+        rec.privacy = created.privacy;
+        rec.operator_name = created.operator_name;
+        rec.served_domains = non_empty(created.served);
         break;
       }
       case EventType::kSessionClosed: {
-        const auto it = sessions.find(e.source_id);
-        if (it != sessions.end()) it->second.closed_at = e.time;
+        if (OpenSession* session = find(e.source_id)) {
+          session->record.closed_at = e.time;
+        }
         break;
       }
       case EventType::kOriginFrame: {
-        const auto it = sessions.find(e.source_id);
-        if (it != sessions.end()) {
-          it->second.origin_set = split_list(e.param("origins"));
+        if (OpenSession* session = find(e.source_id)) {
+          session->record.origin_set =
+              non_empty(std::get<OriginFrame>(e.payload).origins);
         }
         break;
       }
       case EventType::kMisdirected: {
-        const auto it = sessions.find(e.source_id);
-        if (it != sessions.end()) {
-          it->second.excluded_domains.push_back(
-              util::to_lower(e.param("domain")));
+        if (OpenSession* session = find(e.source_id)) {
+          session->record.excluded_domains.push_back(
+              util::to_lower(std::get<HostOnly>(e.payload).host));
         }
         break;
       }
       case EventType::kRequestStarted: {
-        const auto it = sessions.find(e.source_id);
-        if (it == sessions.end()) break;
+        OpenSession* session = find(e.source_id);
+        if (session == nullptr) break;
+        const auto& started = std::get<RequestStarted>(e.payload);
         core::RequestRecord req;
         req.started_at = e.time;
-        req.domain = util::to_lower(e.param("domain"));
-        req.method = e.param("method").empty() ? "GET" : e.param("method");
-        const std::uint64_t stream =
-            std::strtoull(e.param("stream").c_str(), nullptr, 10);
-        streams[{e.source_id, stream}] = it->second.requests.size();
-        it->second.requests.push_back(std::move(req));
+        req.domain = util::to_lower(started.domain);
+        session->streams.emplace_back(started.stream,
+                                      session->record.requests.size());
+        session->record.requests.push_back(std::move(req));
         break;
       }
       case EventType::kRequestFinished: {
-        const auto session_it = sessions.find(e.source_id);
-        if (session_it == sessions.end()) break;
-        const std::uint64_t stream =
-            std::strtoull(e.param("stream").c_str(), nullptr, 10);
-        const auto idx_it = streams.find({e.source_id, stream});
-        if (idx_it == streams.end()) break;
-        core::RequestRecord& req =
-            session_it->second.requests[idx_it->second];
-        req.finished_at = e.time;
-        req.status =
-            static_cast<int>(std::strtol(e.param("status").c_str(), nullptr,
-                                         10));
+        OpenSession* session = find(e.source_id);
+        if (session == nullptr) break;
+        const auto& finished = std::get<RequestFinished>(e.payload);
+        if (core::RequestRecord* req = session->request(finished.stream)) {
+          req->finished_at = e.time;
+          req->status = finished.status;
+        }
         break;
       }
       case EventType::kStreamReset: {
         // Aborted exchange: without this the request would keep its
         // defaults (status 200, finished_at 0) and look successful.
-        const auto session_it = sessions.find(e.source_id);
-        if (session_it == sessions.end()) break;
-        const std::uint64_t stream =
-            std::strtoull(e.param("stream").c_str(), nullptr, 10);
-        const auto idx_it = streams.find({e.source_id, stream});
-        if (idx_it == streams.end()) break;
-        core::RequestRecord& req =
-            session_it->second.requests[idx_it->second];
-        req.finished_at = e.time;
-        req.status = 0;
+        OpenSession* session = find(e.source_id);
+        if (session == nullptr) break;
+        const auto& reset = std::get<StreamReset>(e.payload);
+        if (core::RequestRecord* req = session->request(reset.stream)) {
+          req->finished_at = e.time;
+          req->status = 0;
+        }
         break;
       }
       case EventType::kDnsResolved:
@@ -130,18 +147,17 @@ core::SiteObservation stitch_site(const std::string& site_url,
   }
 
   site.connections.reserve(sessions.size());
-  for (auto& [id, rec] : sessions) {
-    (void)id;
-    site.connections.push_back(std::move(rec));
+  for (OpenSession& session : sessions) {
+    site.connections.push_back(std::move(session.record));
   }
-  std::stable_sort(site.connections.begin(), site.connections.end(),
-                   [](const core::ConnectionRecord& a,
-                      const core::ConnectionRecord& b) {
-                     if (a.opened_at != b.opened_at) {
-                       return a.opened_at < b.opened_at;
-                     }
-                     return a.id < b.id;
-                   });
+  // Session ids are unique, so (opened_at, id) is a total order and the
+  // result does not depend on the order sessions were first seen in.
+  std::sort(site.connections.begin(), site.connections.end(),
+            [](const core::ConnectionRecord& a,
+               const core::ConnectionRecord& b) {
+              if (a.opened_at != b.opened_at) return a.opened_at < b.opened_at;
+              return a.id < b.id;
+            });
   return site;
 }
 

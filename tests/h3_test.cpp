@@ -149,7 +149,7 @@ TEST_F(H3Test, NetlogCarriesProtocolParam) {
   bool saw_h3_param = false;
   for (const auto& event : page.log.events()) {
     if (event.type == netlog::EventType::kSessionCreated &&
-        event.param("protocol") == "h3") {
+        std::get<netlog::SessionCreated>(event.payload).h3) {
       saw_h3_param = true;
     }
   }

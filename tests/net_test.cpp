@@ -91,6 +91,29 @@ TEST(IpAddress, Slash24GroupsLikeThePaper) {
   EXPECT_NE(a.slash24(), c.slash24());
 }
 
+TEST(IpAddress, FormatIntoABufferMatchesToString) {
+  // rtt_to hashes format()'s bytes, so they must be exactly to_string's:
+  // dotted quad for v4, RFC 5952 for v6 (the /48s it hashes included).
+  for (const char* text :
+       {"0.0.0.0", "9.10.99.100", "255.255.255.255", "142.250.180.0", "::",
+        "::1", "1::", "2001:db8::1", "2001:db8:0:1:1:1:1:1",
+        "2001:db8::1:0:0:1", "1:0:0:2::3", "fe80::1:abcd",
+        "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "2001:db8:85a3::"}) {
+    SCOPED_TRACE(text);
+    const IpAddress ip = IpAddress::parse(text).value();
+    IpAddress::TextBuffer buffer;
+    EXPECT_EQ(ip.format(buffer), text);
+    EXPECT_EQ(ip.to_string(), text);
+  }
+  const IpAddress v6 = IpAddress::parse("2001:db8:85a3:8d3:1319:8a2e::7")
+                           .value();
+  IpAddress::TextBuffer buffer;
+  EXPECT_EQ(v6.slash24().format(buffer), "2001:db8:85a3::");
+  EXPECT_EQ(v6.slash24().format(buffer), v6.slash24().to_string());
+  const IpAddress v4 = IpAddress::parse("142.250.180.77").value();
+  EXPECT_EQ(v4.slash24().format(buffer), "142.250.180.0");
+}
+
 TEST(IpAddress, OrderingAndEquality) {
   const IpAddress a = IpAddress::v4(1, 2, 3, 4);
   const IpAddress b = IpAddress::v4(1, 2, 3, 5);

@@ -5,16 +5,19 @@
 // below were recorded from the string-param event model, so they pin the
 // rendering (flags as "1"/"0", decimal integers, comma-joined lists, and
 // exactly when the optional keys `fault`, `via`, goaway `cause` and
-// connect-failed `ip` appear). Four fixed configurations together emit
+// connect-failed `ip` appear). Four fixed configurations, each over
+// generated sites plus one hand-built site that draws a 421, together emit
 // every event type, and a dump parsed back must stitch to the observation
 // the browser stitched from its own log.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "browser/browser.hpp"
+#include "browser/crawl.hpp"
 #include "core/observation_json.hpp"
 #include "dns/vantage.hpp"
 #include "json/json.hpp"
@@ -26,6 +29,13 @@
 
 namespace h2r::netlog {
 namespace {
+
+// A page result carries its whole NetLog; returning or storing one must
+// move it, never copy it.
+static_assert(!std::is_copy_constructible_v<browser::PageLoadResult>);
+static_assert(!std::is_copy_constructible_v<browser::VisitResult>);
+static_assert(!std::is_copy_constructible_v<browser::SiteResult>);
+static_assert(std::is_nothrow_move_constructible_v<browser::PageLoadResult>);
 
 constexpr std::uint64_t kSeed = 42;
 constexpr std::size_t kSites = 24;
@@ -134,9 +144,7 @@ std::vector<LoadedSite> load_sites(const PinCase& pin) {
 }
 
 TEST(NetLogPin, DumpBytesAndEventCoverage) {
-  std::array<std::size_t,
-             static_cast<std::size_t>(EventType::kDeadlineExceeded) + 1>
-      seen{};
+  std::array<std::size_t, kEventTypes.size()> seen{};
   for (const PinCase& pin : pin_cases()) {
     SCOPED_TRACE(pin.name);
     std::string bytes;

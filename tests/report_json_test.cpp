@@ -354,18 +354,23 @@ namespace {
 
 TEST(NetLogJson, RoundTrip) {
   NetLog log;
-  log.record(EventType::kSessionCreated, 100, 7,
-             {{"ip", "10.0.0.5"}, {"domain", "a.example"}});
+  log.record(
+      EventType::kSessionCreated, 100, 7,
+      SessionCreated{
+          .endpoint = {net::IpAddress::parse("10.0.0.5").value(), 443},
+          .domain = "a.example"});
   log.record(EventType::kRequestFinished, 200, 7,
-             {{"stream", "1"}, {"status", "200"}});
+             RequestFinished{.stream = 1, .status = 200});
   const auto parsed = NetLog::from_json(log.to_json());
   ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
   ASSERT_EQ(parsed->size(), 2u);
   EXPECT_EQ(parsed->events()[0].type, EventType::kSessionCreated);
   EXPECT_EQ(parsed->events()[0].time, 100);
   EXPECT_EQ(parsed->events()[0].source_id, 7u);
-  EXPECT_EQ(parsed->events()[0].param("domain"), "a.example");
-  EXPECT_EQ(parsed->events()[1].param("status"), "200");
+  EXPECT_EQ(std::get<SessionCreated>(parsed->events()[0].payload).domain,
+            "a.example");
+  EXPECT_EQ(std::get<RequestFinished>(parsed->events()[1].payload).status,
+            200);
 }
 
 TEST(NetLogJson, RejectsUnknownEventTypes) {

@@ -118,9 +118,10 @@ TEST_F(RetryBackoffTest, BackoffSchedulePinnedExactly) {
   EXPECT_EQ(retries[1]->time, t0 + 300);
   EXPECT_EQ(retries[2]->time, t0 + 700);
   for (std::size_t i = 0; i < retries.size(); ++i) {
-    EXPECT_EQ(retries[i]->param("host"), "www.site.test");
-    EXPECT_EQ(retries[i]->param("attempt"), std::to_string(i + 1));
-    EXPECT_EQ(retries[i]->param("backoff_ms"), std::to_string(100 << i));
+    const auto& retry = std::get<netlog::FetchRetry>(retries[i]->payload);
+    EXPECT_EQ(retry.host, "www.site.test");
+    EXPECT_EQ(retry.attempt, static_cast<int>(i + 1));
+    EXPECT_EQ(retry.backoff_ms, 100 << i);
   }
 
   // 1 document fetch, 3 retries, all refused -> 4 injections, 0 successes.
