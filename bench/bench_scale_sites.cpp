@@ -23,10 +23,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,6 +127,16 @@ ScalePoint run_scale(std::size_t sites, unsigned threads,
   return point;
 }
 
+/// A positive integer flag under util::parse_u64's whole-string rule;
+/// nullopt, after naming the flag on stderr, when it is malformed or 0.
+std::optional<std::uint64_t> positive_flag(const char* flag,
+                                           const char* text) {
+  const auto value = util::parse_u64(text);
+  if (value && *value >= 1) return value;
+  std::fprintf(stderr, "%s wants an integer >= 1, got '%s'\n", flag, text);
+  return std::nullopt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -137,10 +147,14 @@ int main(int argc, char** argv) {
       util::env_u64("H2R_HIST_BUDGET", 64, 0));
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      scales.push_back(
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10)));
+      const auto sites = positive_flag("--sites", argv[++i]);
+      if (!sites) return 2;
+      scales.push_back(static_cast<std::size_t>(*sites));
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto count = positive_flag("--threads", argv[++i]);
+      if (!count) return 2;
+      threads = static_cast<unsigned>(
+          std::min<std::uint64_t>(*count, 0xFFFFFFFFull));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else {
@@ -151,7 +165,6 @@ int main(int argc, char** argv) {
     }
   }
   if (scales.empty()) scales = {10'000, 100'000};
-  if (threads == 0) threads = 1;
 
   std::printf("# streaming-crawl scale sweep: %u thread(s), histogram budget "
               "%u bin(s)\n"

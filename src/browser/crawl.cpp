@@ -20,10 +20,11 @@ namespace {
 // reads in the measurement path, and their values are quarantined to the
 // diagnostic domain: they feed WorkerCounters.{wall,cpu,queue_wait}_ms
 // and CrawlSummary.wall_ms, which are excluded from
-// CrawlSummary::operator== and from every JSON export (report_to_json
-// reads neither; obs::to_json drops the whole diagnostic domain). A leak
-// into an exported metric would break the snapshot differentials in
-// tests/metrics_determinism_test.cpp (MetricsDeterminism.*NoWallClockLeak*).
+// CrawlSummary::operator== and from every JSON export (core::to_json
+// and to_json_full read neither; obs::to_json drops the whole
+// diagnostic domain). A leak into an exported metric would break the
+// snapshot differentials in tests/metrics_determinism_test.cpp
+// (MetricsDeterminism.*NoWallClockLeak*).
 double wall_now_ms() {
   // h2r-lint: allow(ban.clock) -- diagnostic-domain worker wall time;
   // never reaches operator== or exported JSON (see AUDIT above).

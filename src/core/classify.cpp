@@ -97,25 +97,21 @@ std::size_t SiteClassification::count_cause(Cause cause) const noexcept {
                     }));
 }
 
-ClassifyContext::ClassifyContext(bool use_arena)
-    : arena_(use_arena ? std::make_unique<util::Arena>() : nullptr) {}
-
 // h2r-lint: hotpath -- runs once per site per worker; the arena reset +
 // SoA rebuild here is the 2.2x win the allocation rule guards
 void ClassifyContext::prepare(const SiteObservation& site) {
   site_ = &site;
   // Site-scoped scratch dies here; the table is rebuilt on the rewound
-  // arena. (With the arena off the columns free/reallocate on the heap —
-  // slower, identical values.)
+  // arena.
   table_.reset();
-  if (arena_ != nullptr) arena_->reset();
+  arena_.reset();
   // Workers live for millions of sites: cap the interner so unique
   // per-site domains cannot grow it without bound. Ids never escape the
   // context, so the reset is invisible to results.
   if (interner_.pool_bytes() > (1u << 22) || interner_.size() > (1u << 18)) {
     interner_.clear();
   }
-  table_.emplace(arena_.get());
+  table_.emplace(&arena_);
   table_->build(site, interner_);
 }
 

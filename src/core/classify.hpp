@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -94,11 +93,6 @@ struct SiteClassification {
 /// Not thread-safe; one context per worker.
 class ClassifyContext {
  public:
-  /// `use_arena` defaults to the process-wide H2R_ARENA knob; off means
-  /// table columns fall back to plain heap allocation (same results —
-  /// tests/arena_test.cpp pins the differential).
-  explicit ClassifyContext(bool use_arena = util::arena_enabled());
-
   /// Builds the table for `site`. The observation must outlive the next
   /// prepare() (classify() reads site_url, the connection count, and —
   /// for horizon policies — per-request times). prepare() is
@@ -117,7 +111,7 @@ class ClassifyContext {
   const ConnectionTable& table() const noexcept { return *table_; }
 
  private:
-  std::unique_ptr<util::Arena> arena_;  // null when use_arena is false
+  util::Arena arena_;
   Interner interner_;
   const SiteObservation* site_ = nullptr;
   std::optional<ConnectionTable> table_;

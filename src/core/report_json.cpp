@@ -136,10 +136,11 @@ util::Expected<fault::FailureSummary> failure_summary_from_json(
   return json::decode<fault::FailureSummary>(value, "FailureSummary");
 }
 
-json::Value report_to_json(const AggregateReport& report,
-                           const ReportJsonOptions& options) {
-  if (options.fidelity == Fidelity::kFull) return json::encode(report);
-  const std::size_t top_n = options.top_n;
+json::Value to_json_full(const AggregateReport& report) {
+  return json::encode(report);
+}
+
+json::Value to_json(const AggregateReport& report, std::size_t top_n) {
   json::Object root;
   root.set("analyzed_sites", static_cast<std::int64_t>(report.analyzed_sites));
   root.set("h2_sites", static_cast<std::int64_t>(report.h2_sites));

@@ -14,44 +14,18 @@ namespace h2r::core {
 /// Untruncated `top_n` for to_json: every attribution row is emitted.
 inline constexpr std::size_t kAllRows = static_cast<std::size_t>(-1);
 
-/// How much of an AggregateReport the serializer keeps.
-enum class Fidelity {
-  /// The human/CI-facing shape: per-cause tallies, the Figure 2 histogram
-  /// and the attribution tables truncated to the top rows; previous-origin
-  /// maps and domain sets are summarized, so this shape is NOT losslessly
-  /// parseable.
-  kTruncated,
-  /// The lossless journal shape: every attribution row with its complete
-  /// previous-origin map, full domain sets and the raw TimeHistogram
-  /// sample multisets. report_from_json(x) round-trips this shape exactly
-  /// (tests/report_json_test.cpp pins it).
-  kFull,
-};
+/// The human/CI-facing shape: per-cause tallies, the Figure 2 histogram
+/// and the attribution tables truncated to the top `top_n` rows;
+/// previous-origin maps and domain sets are summarized, so this shape is
+/// NOT losslessly parseable.
+json::Value to_json(const AggregateReport& report, std::size_t top_n = 20);
 
-struct ReportJsonOptions {
-  Fidelity fidelity = Fidelity::kTruncated;
-  /// Attribution-table row cap; only the truncated shape consults it
-  /// (kFull is always complete). kAllRows = untruncated tables.
-  std::size_t top_n = 20;
-};
-
-/// THE aggregate-report serializer; the two shapes of the old to_json /
-/// to_json_full pair are selected by options.fidelity and preserved byte
-/// for byte (both names forward here). The full shape is generated from
-/// AggregateReport's field table (json/fields.hpp).
-json::Value report_to_json(const AggregateReport& report,
-                           const ReportJsonOptions& options = {});
-
-/// Truncated shape (Fidelity::kTruncated with `top_n` rows per table).
-inline json::Value to_json(const AggregateReport& report,
-                           std::size_t top_n = 20) {
-  return report_to_json(report, {Fidelity::kTruncated, top_n});
-}
-
-/// Lossless journal shape (Fidelity::kFull).
-inline json::Value to_json_full(const AggregateReport& report) {
-  return report_to_json(report, {Fidelity::kFull, kAllRows});
-}
+/// The lossless journal shape, generated from AggregateReport's field
+/// table (json/fields.hpp): every attribution row with its complete
+/// previous-origin map, full domain sets and the raw TimeHistogram
+/// sample multisets. report_from_json(x) round-trips it exactly
+/// (tests/report_json_test.cpp pins it).
+json::Value to_json_full(const AggregateReport& report);
 
 /// Strict parser for to_json_full output. Rejects malformed documents:
 /// missing/mistyped fields, non-integer or negative counters (doubles and

@@ -106,7 +106,6 @@ StudyConfig StudyConfig::from_env() {
       util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
       0xFFFFFFFFull));
   config.metrics_path = util::env_string("H2R_METRICS");
-  config.spill_dir = util::env_string("H2R_SPILL");
   return config;
 }
 
@@ -203,7 +202,6 @@ StudyResults run_study(const StudyConfig& config) {
   journal::CampaignRunOptions run;
   run.as_db = &eco.as_database();
   run.hist_budget = config.hist_budget;
-  run.spill_dir = config.spill_dir;
   run.journal_path = config.journal_path;
   run.resume = config.resume;
   if (!config.journal_path.empty()) {
@@ -226,7 +224,6 @@ StudyResults run_study(const StudyConfig& config) {
       campaign.reports[s]->merge(totals.reports[campaign.spec.reports[s].name]);
     }
     results.overlap_sites += totals.overlap_sites;
-    results.spill_bytes += totals.spill_bytes;
     report_windows += totals.windows;
     results.resumed_chunks += out.resumed_chunks;
     results.resumed_sites += out.resumed_sites;
@@ -236,7 +233,7 @@ StudyResults run_study(const StudyConfig& config) {
   results.journal_bytes = outcome.journal_bytes;
   results.journal_fsyncs = outcome.journal_fsyncs;
 
-  // Journal / resume / spill / window telemetry depends on chunk
+  // Journal / resume / window telemetry depends on chunk
   // scheduling and platform I/O, and so does the process's memory
   // high-water mark — diagnostic domain only, invisible to the exported
   // snapshot.
@@ -247,9 +244,6 @@ StudyResults run_study(const StudyConfig& config) {
   if (results.resumed_chunks > 0) {
     results.metrics.add_diag("study.resumed_chunks", results.resumed_chunks);
     results.metrics.add_diag("study.resumed_sites", results.resumed_sites);
-  }
-  if (results.spill_bytes > 0) {
-    results.metrics.add_diag("study.spill_bytes", results.spill_bytes);
   }
   if (report_windows > 0) {
     results.metrics.add_diag("study.report_windows", report_windows);
@@ -268,8 +262,8 @@ const StudyResults& shared_study(const StudyConfig& config) {
   // thread-count-independent results, so runs differing only in
   // parallelism share one cache slot. The fault signature, watchdog
   // deadline and histogram budget change what is measured; the journal
-  // and spill knobs are keyed so a bench that sets them pays for their
-  // I/O instead of hitting the cache.
+  // knobs are keyed so a bench that sets them pays for its I/O instead of
+  // hitting the cache.
   const std::string key = std::to_string(config.har_sites) + "/" +
                           std::to_string(config.alexa_sites) + "/" +
                           std::to_string(config.har_first_rank) + "/" +
@@ -278,8 +272,7 @@ const StudyResults& shared_study(const StudyConfig& config) {
                           std::to_string(config.site_deadline) + "/hb" +
                           std::to_string(config.hist_budget) + "/j[" +
                           config.journal_path +
-                          (config.resume ? "+resume" : "") + "]/sp[" +
-                          config.spill_dir + "]";
+                          (config.resume ? "+resume" : "") + "]";
   std::lock_guard<std::mutex> lock(mutex);
   auto& slot = cache[key];
   if (slot == nullptr) {

@@ -78,13 +78,6 @@ struct StudyConfig {
   /// journal fingerprint and the shared_study key. `from_env()` reads
   /// H2R_HIST_BUDGET.
   std::uint32_t hist_budget = 0;
-  /// Directory for ReportFold spill files; empty = resident folds. With
-  /// a directory set, each campaign's report windows are framed to
-  /// `<spill_dir>/h2r-spill-<campaign>.spill` and merged only at the end
-  /// of the crawl, keeping even the totals off the heap. Totals are
-  /// BIT-IDENTICAL to resident folds, so spill_dir is absent from the
-  /// journal fingerprint. `from_env()` reads H2R_SPILL.
-  std::string spill_dir;
   /// Path to write the study's merged metric snapshot to (pretty JSON,
   /// obs::to_json schema); empty = don't write one. Only DETERMINISTIC
   /// metrics are exported — the snapshot is bit-identical for every
@@ -95,7 +88,7 @@ struct StudyConfig {
 
   /// Reads H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS /
   /// H2R_FAULT_* / H2R_SITE_DEADLINE_MS / H2R_JOURNAL / H2R_RESUME /
-  /// H2R_HIST_BUDGET / H2R_METRICS / H2R_SPILL overrides via
+  /// H2R_HIST_BUDGET / H2R_METRICS overrides via
   /// util/env.hpp. Invalid or non-positive values fall back to the
   /// defaults; H2R_THREADS is clamped to the machine's hardware
   /// concurrency.
@@ -131,8 +124,6 @@ struct StudyResults {
   /// Work recovered from the journal on resume instead of re-crawled.
   std::uint64_t resumed_chunks = 0;
   std::uint64_t resumed_sites = 0;
-  /// Bytes framed through ReportFold spill files (0 = resident folds).
-  std::uint64_t spill_bytes = 0;
 
   /// Metric snapshot merged over the three campaigns' per-worker shards
   /// (dns.* / net.* / tls.* / h2.* / browser.* / crawl.* counters and

@@ -16,10 +16,10 @@ namespace h2r::journal {
 
 namespace {
 
-/// The first I/O error (journal append or spill write) across every
-/// campaign's workers. Workers keep crawling after it (results stay
-/// correct); run_campaigns rethrows it once the campaigns have joined, so
-/// the run still fails loudly.
+/// The first journal-append error across every campaign's workers.
+/// Workers keep crawling after it (results stay correct); run_campaigns
+/// rethrows it once the campaigns have joined, so the run still fails
+/// loudly.
 struct FirstError {
   std::mutex mutex;  // guards: error
   std::exception_ptr error;
@@ -39,16 +39,37 @@ struct Recovered {
   std::uint64_t sites = 0;
 };
 
-bool has_slot(const std::vector<ReportSlot>& slots, const std::string& name) {
-  return std::any_of(slots.begin(), slots.end(),
-                     [&](const ReportSlot& slot) { return slot.name == name; });
+/// Throws unless a chunk's named `kind` entries ("report" or "tally")
+/// are exactly the campaign's slot names, each once: a chunk that lacks a
+/// slot would silently drop that report's sites from the totals.
+template <typename Slot, typename Value>
+void check_slots(const std::string& campaign, const char* kind,
+                 const std::vector<Slot>& slots,
+                 const std::vector<std::pair<std::string, Value>>& entries) {
+  auto fail = [&](const char* problem, const std::string& name) {
+    throw std::runtime_error("journal chunk for campaign '" + campaign +
+                             "' " + problem + " " + kind + " '" + name + "'");
+  };
+  for (const auto& entry : entries) {
+    if (std::none_of(slots.begin(), slots.end(), [&](const Slot& slot) {
+          return slot.name == entry.first;
+        })) {
+      fail("has unknown", entry.first);
+    }
+  }
+  for (const Slot& slot : slots) {
+    const auto copies = std::count_if(
+        entries.begin(), entries.end(),
+        [&](const auto& entry) { return entry.first == slot.name; });
+    if (copies != 1) fail(copies == 0 ? "lacks" : "repeats", slot.name);
+  }
 }
 
 /// Validates every journaled chunk against its campaign's spec and folds
 /// it into that campaign's fold (both parallel to `specs`).
-std::vector<Recovered> recover(
-    const JournalContents& contents, const std::vector<CampaignSpec>& specs,
-    const std::vector<std::unique_ptr<ReportFold>>& folds) {
+std::vector<Recovered> recover(const JournalContents& contents,
+                               const std::vector<CampaignSpec>& specs,
+                               std::vector<ReportFold>& folds) {
   std::vector<Recovered> recovered(specs.size());
   for (const json::Value& entry : contents.entries) {
     auto chunk = chunk_from_json(entry);
@@ -82,20 +103,11 @@ std::vector<Recovered> recover(
         cell = 1;
       }
     }
-    for (const auto& [name, report] : chunk->reports) {
-      if (!has_slot(spec.reports, name)) {
-        throw std::runtime_error("journal entry with unknown report '" +
-                                 name + "' for campaign '" + chunk->campaign +
-                                 "'");
-      }
-    }
+    check_slots(spec.name, "report", spec.reports, chunk->reports);
+    check_slots(spec.name, "tally", spec.tallies, chunk->tallies);
     // Recovered chunks merge like live windows (commutative), so a
     // resumed campaign lands on the uninterrupted bytes.
-    auto folded = folds[index]->fold(*chunk);
-    if (!folded) {
-      throw std::runtime_error("report spill failed: " +
-                               folded.error().message);
-    }
+    (void)folds[index].fold(*chunk);
     ++rec.chunks;
     rec.sites += chunk->site_count();
   }
@@ -106,8 +118,7 @@ std::vector<Recovered> recover(
 /// on resume — the existing one, whose chunks are folded on the way.
 std::unique_ptr<JournalWriter> open_journal(
     const std::vector<CampaignSpec>& specs, const CampaignRunOptions& options,
-    const std::vector<std::unique_ptr<ReportFold>>& folds,
-    std::vector<Recovered>& recovered) {
+    std::vector<ReportFold>& folds, std::vector<Recovered>& recovered) {
   if (!options.resume) {
     auto created =
         JournalWriter::create(options.journal_path, options.fingerprint);
@@ -129,18 +140,6 @@ std::unique_ptr<JournalWriter> open_journal(
       JournalWriter::append_to(options.journal_path, contents->valid_bytes);
   if (!appender) throw std::runtime_error(appender.error().message);
   return std::move(appender.value());
-}
-
-std::unique_ptr<ReportFold> make_fold(const CampaignRunOptions& options,
-                                      const std::string& campaign) {
-  if (options.spill_dir.empty()) return std::make_unique<ReportFold>();
-  auto spilling = ReportFold::spilling(options.spill_dir + "/h2r-spill-" +
-                                       campaign + ".spill");
-  if (!spilling) {
-    throw std::runtime_error("spill fold (" + campaign +
-                             "): " + spilling.error().message);
-  }
-  return std::move(*spilling);
 }
 
 /// The observer every campaign crawls with: owns the per-worker report
@@ -230,10 +229,7 @@ class CampaignWindows final : public obs::Observer {
                           committed.error().message);
       }
     }
-    auto folded = fold_.fold(checkpoint);
-    if (!folded) {
-      io_error_.capture("report spill failed: " + folded.error().message);
-    }
+    (void)fold_.fold(checkpoint);
   }
 
   obs::Metrics merged() const { return registry_.merged(); }
@@ -281,10 +277,7 @@ class CampaignWindows final : public obs::Observer {
 RunOutcome run_campaigns(web::SiteUniverse& universe,
                          const std::vector<CampaignSpec>& specs,
                          const CampaignRunOptions& options) {
-  std::vector<std::unique_ptr<ReportFold>> folds;
-  for (const CampaignSpec& spec : specs) {
-    folds.push_back(make_fold(options, spec.name));
-  }
+  std::vector<ReportFold> folds(specs.size());
   std::vector<Recovered> recovered(specs.size());
   std::unique_ptr<JournalWriter> journal;
   if (!options.journal_path.empty()) {
@@ -298,7 +291,7 @@ RunOutcome run_campaigns(web::SiteUniverse& universe,
     const CampaignSpec& spec = specs[index];
     const Recovered& rec = recovered[index];
     CampaignOutcome& out = outcome.campaigns[index];
-    CampaignWindows observer{spec, options, *folds[index], journal.get(),
+    CampaignWindows observer{spec, options, folds[index], journal.get(),
                              io_error};
     browser::CrawlOptions crawl = spec.crawl;
     crawl.observer = &observer;
@@ -309,14 +302,9 @@ RunOutcome run_campaigns(web::SiteUniverse& universe,
     crawl.targets = rec.covered.empty() ? nullptr : &targets;
     browser::CrawlSummary live =
         browser::crawl(universe, spec.first_rank, spec.count, crawl);
-    auto totals = folds[index]->finish();
-    if (!totals) {
-      throw std::runtime_error("fold finish (" + spec.name +
-                               "): " + totals.error().message);
-    }
     // The fold summed every chunk's counters, live and recovered; the
     // crawl adds its per-worker diagnostics.
-    out.totals = std::move(*totals);
+    out.totals = folds[index].finish().value();
     out.totals.summary.per_worker = std::move(live.per_worker);
     out.totals.summary.wall_ms = live.wall_ms;
     out.metrics = observer.merged();

@@ -55,7 +55,7 @@ struct TallySlot {
 };
 
 struct CampaignSpec {
-  /// Journal campaign tag and spill-file suffix ("alexa", "har", ...).
+  /// Journal campaign tag ("alexa", "har", ...).
   std::string name;
   /// The crawl; its observer and targets belong to the runner.
   browser::CrawlOptions crawl;
@@ -78,9 +78,6 @@ struct CampaignRunOptions {
   const asdb::AsDatabase* as_db = nullptr;
   /// Bin budget for report and metric histograms (0 = exact).
   std::uint32_t hist_budget = 0;
-  /// Directory for spilling folds, one `h2r-spill-<name>.spill` per
-  /// campaign; empty = resident folds.
-  std::string spill_dir;
   /// Crash journal every chunk is committed to; empty = no journal.
   std::string journal_path;
   /// Recover the journal's chunks and crawl only the remaining ranks.
@@ -110,11 +107,11 @@ struct RunOutcome {
 };
 
 /// Crawls every spec concurrently and folds its windows. Throws
-/// std::runtime_error when a spill fold or the journal cannot be opened,
-/// the journal was written by a different fingerprint or holds unknown,
-/// out-of-range or overlapping chunks; and, after every campaign has
-/// joined, on the first campaign failure, failed journal append or failed
-/// spill write.
+/// std::runtime_error when the journal cannot be opened, was written by a
+/// different fingerprint, or holds chunks of an unknown campaign, outside
+/// its rank range, overlapping, or whose report or tally names differ
+/// from the campaign's slots; and, after every campaign has joined, on
+/// the first campaign failure or failed journal append.
 RunOutcome run_campaigns(web::SiteUniverse& universe,
                          const std::vector<CampaignSpec>& specs,
                          const CampaignRunOptions& options);

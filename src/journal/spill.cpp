@@ -4,66 +4,22 @@
 
 namespace h2r::journal {
 
-namespace {
-
-void merge_window(FoldTotals& totals, const ChunkCheckpoint& window) {
-  for (const auto& [name, report] : window.reports) {
-    totals.reports[name].merge(report);
-  }
-  for (const auto& [name, tally] : window.tallies) {
-    totals.tallies[name].merge(tally);
-  }
-  totals.summary.merge(window.summary);
-  totals.overlap_sites += window.overlap_sites;
-  ++totals.windows;
-}
-
-}  // namespace
-
-util::Expected<std::unique_ptr<ReportFold>> ReportFold::spilling(
-    const std::string& path) {
-  json::Object header;
-  header.set("kind", "report-spill");
-  auto writer = JournalWriter::create(path, json::Value{std::move(header)});
-  if (!writer) return util::unexpected(writer.error());
-  return std::unique_ptr<ReportFold>(
-      new ReportFold(std::move(writer.value()), path));
-}
-
 util::Expected<bool> ReportFold::fold(const ChunkCheckpoint& window) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (writer_ == nullptr) {
-    merge_window(totals_, window);
-    return true;
+  for (const auto& [name, report] : window.reports) {
+    totals_.reports[name].merge(report);
   }
-  auto committed = writer_->append(to_json(window));
-  if (!committed) return util::unexpected(committed.error());
+  for (const auto& [name, tally] : window.tallies) {
+    totals_.tallies[name].merge(tally);
+  }
+  totals_.summary.merge(window.summary);
+  totals_.overlap_sites += window.overlap_sites;
   ++totals_.windows;
   return true;
 }
 
 util::Expected<FoldTotals> ReportFold::finish() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (writer_ == nullptr) return std::move(totals_);
-
-  totals_.spill_bytes = writer_->bytes_written();
-  writer_.reset();  // closes the fd before the read-back
-  auto contents = read_journal(spill_path_);
-  if (!contents) return util::unexpected(contents.error());
-  if (contents->torn_tail) {
-    return util::unexpected(
-        util::Error{"spill file has a torn tail: a fold window was lost"});
-  }
-  const std::uint64_t committed = totals_.windows;
-  totals_.windows = 0;
-  for (const json::Value& entry : contents->entries) {
-    auto window = chunk_from_json(entry);
-    if (!window) return util::unexpected(window.error());
-    merge_window(totals_, *window);
-  }
-  if (totals_.windows != committed) {
-    return util::unexpected(util::Error{"spill replay count mismatch"});
-  }
   return std::move(totals_);
 }
 

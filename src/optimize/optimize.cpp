@@ -47,7 +47,6 @@ OptimizeConfig OptimizeConfig::from_env() {
       std::max(1u, static_cast<unsigned>(
                        util::env_u64("H2R_THREADS", config.threads, 1))),
       hardware);
-  config.spill_dir = util::env_string("H2R_SPILL");
   config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
       0xFFFFFFFFull));
@@ -99,7 +98,6 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
   journal::CampaignRunOptions run;
   run.as_db = &eco.as_database();
   run.hist_budget = config.hist_budget;
-  run.spill_dir = config.spill_dir;
   journal::CampaignOutcome outcome =
       std::move(journal::run_campaigns(universe, {spec}, run).campaigns[0]);
   journal::FoldTotals& totals = outcome.totals;
@@ -107,7 +105,6 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
   results.summary = std::move(totals.summary);
   results.baseline.merge(totals.reports["baseline"]);
   results.metrics = std::move(outcome.metrics);
-  results.spill_bytes = totals.spill_bytes;
   results.ranked.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     results.ranked.push_back(

@@ -43,8 +43,6 @@ struct OptimizeConfig {
   unsigned threads = 1;
   /// Ignored: every sweep streams. perfbench/workload.cpp is its last writer.
   bool stream = false;
-  /// Directory for the ReportFold spill file; empty = resident fold.
-  std::string spill_dir;
   /// Bin budget for the baseline report's histograms (0 = exact).
   std::uint32_t hist_budget = 0;
   /// Fault injection, forwarded to the crawl. The replay is only exact at
@@ -60,8 +58,8 @@ struct OptimizeConfig {
   /// else sweeps all core::kAllPolicyKnobs.
   std::uint8_t knob_mask = core::kAllPolicyKnobs;
 
-  /// Reads H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS / H2R_SPILL /
-  /// H2R_HIST_BUDGET / H2R_FAULT_* / H2R_POLICY_* overrides.
+  /// Reads H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS / H2R_HIST_BUDGET /
+  /// H2R_FAULT_* / H2R_POLICY_* overrides.
   static OptimizeConfig from_env();
 };
 
@@ -82,12 +80,9 @@ struct OptimizeResults {
   core::AggregateReport baseline;
   /// Merged per-worker metric shards (deterministic domain only).
   obs::Metrics metrics;
-  /// Bytes framed through the spill fold (0 = resident).
-  std::uint64_t spill_bytes = 0;
 };
 
-/// Runs the crawl + policy sweep. Throws std::runtime_error when the spill
-/// file cannot be created, written or read back.
+/// Runs the crawl + policy sweep.
 OptimizeResults run_optimize(const OptimizeConfig& config);
 
 /// Deterministic JSON document: bit-identical across thread counts

@@ -23,7 +23,6 @@ PoolConfig PoolConfig::from_env() {
   const std::string arch = util::env_string("H2R_POOL_ARCH", "shared");
   config.arch =
       arch == "worker" ? Architecture::kWorker : Architecture::kShared;
-  config.shards = util::env_u64("H2R_POOL_SHARDS", config.shards, 1);
   config.workers = util::env_u64("H2R_POOL_WORKERS", config.workers, 1);
   config.visits = util::env_u64("H2R_POOL_VISITS", config.visits, 1);
   config.site_interval = util::milliseconds(static_cast<std::int64_t>(
@@ -60,9 +59,9 @@ std::string PoolConfig::signature() const {
   char buf[256];
   std::snprintf(
       buf, sizeof(buf),
-      "%s/shards=%zu/workers=%zu/visits=%zu/interval=%lld/spacing=%lld"
+      "%s/workers=%zu/visits=%zu/interval=%lld/spacing=%lld"
       "/idle=%lld/cap=%zu/streams=%u/brk=%d:%lld",
-      to_string(arch).c_str(), shards, workers, visits,
+      to_string(arch).c_str(), workers, visits,
       static_cast<long long>(site_interval),
       static_cast<long long>(visit_spacing),
       static_cast<long long>(idle_timeout), key_idle_cap, max_streams,

@@ -28,7 +28,7 @@
 // never interact (there is deliberately NO global-capacity eviction),
 // and every eviction/close is stamped with its own event-derived time —
 // so all counters are sums of per-key contributions and the results are
-// bit-identical for ANY shard count and ANY thread count. Fault
+// bit-identical for ANY thread count. Fault
 // decisions are drawn from per-event plans seeded by event identity
 // (pool/replay.hpp), never from shared RNG state.
 #pragma once
@@ -55,13 +55,16 @@ enum class Architecture : std::uint8_t { kShared, kWorker };
 
 std::string to_string(Architecture arch);
 
+/// kShared: the one pool's lockable slices. Threads claim whole slices,
+/// so this caps the shared replay's parallelism; results do not depend
+/// on it (keys never interact).
+inline constexpr std::size_t kSharedPartitions = 8;
+
 /// All pool knobs. Env-tunable via H2R_POOL_* (from_env); defaults are
 /// the bench_pool_reuse operating point that reproduces the
 /// 99.92%-vs-87% architecture gap.
 struct PoolConfig {
   Architecture arch = Architecture::kShared;
-  /// kShared: lockable slices of the one pool (results are invariant).
-  std::size_t shards = 8;
   /// kWorker: virtual proxy workers, each with a private pool.
   std::size_t workers = 12;
   /// Replay traffic model: how many times each site's trace is visited.
@@ -84,15 +87,14 @@ struct PoolConfig {
   /// rates zero = clean replay, bit-identical to no injection.
   fault::FaultConfig faults;
 
-  /// Reads H2R_POOL_ARCH, H2R_POOL_SHARDS, H2R_POOL_WORKERS,
-  /// H2R_POOL_VISITS, H2R_POOL_SITE_INTERVAL_MS,
+  /// Reads H2R_POOL_ARCH, H2R_POOL_WORKERS, H2R_POOL_VISITS, H2R_POOL_SITE_INTERVAL_MS,
   /// H2R_POOL_VISIT_SPACING_MS, H2R_POOL_IDLE_MS, H2R_POOL_KEY_CAP,
   /// H2R_POOL_MAX_STREAMS, H2R_POOL_BREAKER_THRESHOLD,
   /// H2R_POOL_BREAKER_COOLDOWN_MS, H2R_POOL_FAULT_RATE,
   /// H2R_POOL_FAULT_SEED, H2R_POOL_RETRIES, H2R_POOL_BACKOFF_MS.
   static PoolConfig from_env();
 
-  /// Compact cache-key string (arch/shards/visits/faults...).
+  /// Compact cache-key string (arch/workers/visits/faults...).
   std::string signature() const;
 };
 
@@ -159,7 +161,7 @@ auto fields(util::RecordOf<PoolStats> auto& s) {
 /// One +-1 step of the pool's connection count, stamped with the
 /// simulated time the connection actually opened/closed (not when a lazy
 /// sweep noticed). `partition` is the worker id under kWorker and 0
-/// under kShared, so sorting is invariant to the shard count.
+/// under kShared, so sorting does not depend on which slice recorded it.
 struct OccupancyDelta {
   util::SimTime at = 0;
   std::int32_t delta = 0;
@@ -276,7 +278,6 @@ class ConnectionPool {
   ConnectionPool(const PoolConfig& config, std::size_t partitions);
 
   PoolShard& shard(std::size_t partition) { return shards_[partition]; }
-  std::size_t partitions() const noexcept { return shards_.size(); }
 
   /// Merged in partition order (commutative folds; call after joining).
   PoolStats merged_stats() const;
@@ -288,8 +289,7 @@ class ConnectionPool {
 };
 
 /// Which slice a key lives in under kShared: a pure function of the
-/// key id, so the assignment (and thus every result) is stable for any
-/// shard count.
+/// key id, so the assignment is stable across runs and thread counts.
 std::size_t shard_of(std::uint32_t key_id, std::size_t shards);
 
 /// Which virtual proxy worker serves visit `visit` of site `rank` under

@@ -145,7 +145,7 @@ ReplayReport replay_traces(const std::vector<SiteTrace>& traces,
                 util::seconds(10);
   const util::SimTime t0 = options.crawl.start_time;
   const std::size_t partitions = std::max<std::size_t>(
-      worker_arch ? config.workers : config.shards, 1);
+      worker_arch ? config.workers : pool::kSharedPartitions, 1);
   std::vector<std::vector<Event>> streams(partitions);
   util::SimTime horizon = t0;
   std::uint64_t total_events = 0;
@@ -248,13 +248,6 @@ ReplayReport replay_traces(const std::vector<SiteTrace>& traces,
   report.trace.end_span(sim, horizon);
   report.trace.end_span(root, horizon);
   return report;
-}
-
-ReplayReport replay(web::SiteUniverse& universe, std::size_t first,
-                    std::size_t count, const ReplayOptions& options) {
-  const std::vector<SiteTrace> traces =
-      collect_traces(universe, first, count, options.crawl);
-  return replay_traces(traces, options);
 }
 
 json::Value to_json(const ReplayReport& report) {

@@ -13,8 +13,8 @@
 //      that owns the client connection) and applied in a globally sorted
 //      per-partition order. Threads only change which OS thread applies
 //      which partition, never the order — so the report is bit-identical
-//      across thread counts, shard counts, and (at fault rate 0) to a
-//      run with no injection at all.
+//      across thread counts and (at fault rate 0) to a run with no
+//      injection at all.
 //
 // Fault decisions are per-event FaultPlans seeded from (fault seed,
 // site, visit, request) — pure functions of event identity, independent
@@ -91,20 +91,16 @@ struct ReplayReport {
   bool operator==(const ReplayReport&) const = default;
 };
 
-/// Phase 1 alone: crawls ranks [first, first + count) and distills the
+/// Phase 1: crawls ranks [first, first + count) and distills the
 /// per-site pool traces (index = rank - first; unreachable sites leave
 /// empty traces).
 std::vector<SiteTrace> collect_traces(web::SiteUniverse& universe,
                                       std::size_t first, std::size_t count,
                                       const browser::CrawlOptions& options);
 
-/// Phase 2 alone: replays already-collected traces through the pool.
+/// Phase 2: replays already-collected traces through the pool.
 ReplayReport replay_traces(const std::vector<SiteTrace>& traces,
                            const ReplayOptions& options);
-
-/// Both phases: collect_traces + replay_traces.
-ReplayReport replay(web::SiteUniverse& universe, std::size_t first,
-                    std::size_t count, const ReplayOptions& options);
 
 /// Strict deterministic export (sorted structure, diagnostic metrics
 /// excluded) — CI byte-diffs this across thread counts.

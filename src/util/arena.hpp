@@ -17,24 +17,16 @@
 //     reset();
 //   * one arena per worker, never shared across threads.
 //
-// ArenaAllocator is a std-compatible allocator over an Arena. With a
-// null arena it degrades to plain operator new/delete — that is the
-// H2R_ARENA=0 escape hatch (arena_enabled()), which tests/arena_test.cpp
-// uses to pin that results are allocator-independent, byte for byte.
+// ArenaAllocator is a std-compatible allocator over an Arena, so the
+// classifier's columns are plain std::vectors that bump-allocate.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <vector>
 
 namespace h2r::util {
-
-/// H2R_ARENA knob (default on; exactly "0" disables), read through
-/// util/env.hpp at every call. Callers sample it when they construct
-/// their per-worker state, so a run's workers all see one answer.
-bool arena_enabled();
 
 class Arena {
  public:
@@ -99,30 +91,23 @@ class Arena {
   std::size_t high_water_ = 0;
 };
 
-/// std allocator over an Arena; with arena == nullptr it is plain heap
-/// allocation, so the same container type serves both H2R_ARENA modes.
+/// std allocator over a (non-null) Arena.
 template <typename T>
 class ArenaAllocator {
  public:
   using value_type = T;
 
-  ArenaAllocator() noexcept = default;
   explicit ArenaAllocator(Arena* arena) noexcept : arena_(arena) {}
   template <typename U>
   ArenaAllocator(const ArenaAllocator<U>& other) noexcept  // NOLINT(google-explicit-constructor)
       : arena_(other.arena()) {}
 
   T* allocate(std::size_t n) {
-    if (arena_ != nullptr) {
-      return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
+    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
   }
 
-  void deallocate(T* p, std::size_t) noexcept {
-    if (arena_ == nullptr) ::operator delete(p);
-    // Arena memory is reclaimed wholesale by Arena::reset().
-  }
+  /// A no-op: arena memory is reclaimed wholesale by Arena::reset().
+  void deallocate(T*, std::size_t) noexcept {}
 
   Arena* arena() const noexcept { return arena_; }
 
@@ -132,7 +117,7 @@ class ArenaAllocator {
   }
 
  private:
-  Arena* arena_ = nullptr;
+  Arena* arena_;
 };
 
 template <typename T>

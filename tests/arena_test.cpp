@@ -1,16 +1,13 @@
 // The hot-path memory model, pinned (DESIGN §12).
 //
-// Unit half: util::Arena bump/reset/chunk-reuse semantics and the
-// ArenaAllocator's heap fallback.
+// Unit half: util::Arena bump/reset/chunk-reuse semantics.
 //
-// Differential half: the per-site arena + interner + SoA classifier
-// sweep is a pure OPTIMIZATION — H2R_ARENA=0 (plain heap allocation)
-// and H2R_ARENA=1 (arena) must produce byte-identical report JSON,
-// metric snapshots and journal frames at every thread count and fault
-// rate, and ClassifyContext must reproduce classify_site() exactly.
+// Equivalence half: the per-site arena + interner + SoA classifier sweep
+// is a pure OPTIMIZATION — ClassifyContext, reused across sites on its
+// rewound arena, and classify_site() must reproduce the heap-only
+// reference sweep exactly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -18,13 +15,7 @@
 #include <vector>
 
 #include "core/classify.hpp"
-#include "core/report_json.hpp"
-#include "experiments/study.hpp"
-#include "journal/journal.hpp"
-#include "json/json.hpp"
 #include "net/ip.hpp"
-#include "obs/metrics.hpp"
-#include "test_env_guard.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -72,29 +63,6 @@ TEST(Arena, VectorsGrowInsideTheArena) {
   for (std::uint32_t i = 0; i < 10000; ++i) v.push_back(i);
   for (std::uint32_t i = 0; i < 10000; ++i) ASSERT_EQ(v[i], i);
   EXPECT_GT(arena.bytes_used(), 10000u * sizeof(std::uint32_t));
-}
-
-TEST(ArenaAllocator, NullArenaFallsBackToHeap) {
-  // The H2R_ARENA=0 mode: same container type, plain new/delete.
-  util::ArenaVector<int> v{util::ArenaAllocator<int>(nullptr)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v[999], 999);
-}
-
-TEST(Arena, EnvKnobDefaultsOn) {
-  {
-    h2r::testing::EnvGuard guard{"H2R_ARENA", nullptr};
-    EXPECT_TRUE(util::arena_enabled());
-  }
-  {
-    h2r::testing::EnvGuard guard{"H2R_ARENA", "0"};
-    EXPECT_FALSE(util::arena_enabled());
-  }
-  {
-    h2r::testing::EnvGuard guard{"H2R_ARENA", "1"};
-    EXPECT_TRUE(util::arena_enabled());
-  }
 }
 
 // ----------------------------------- classifier context equivalence
@@ -208,22 +176,21 @@ core::SiteClassification classify_reference(
 
 class ArenaSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Arena on: a context reused for every site on its rewound arena, and
+// classify_site(). Arena off: the heap-only reference sweep both match.
 TEST_P(ArenaSeeds, ContextMatchesReferenceWithArenaOnAndOff) {
   util::Rng rng{GetParam()};
-  core::ClassifyContext with_arena{/*use_arena=*/true};
-  core::ClassifyContext without_arena{/*use_arena=*/false};
+  core::ClassifyContext context;
   for (std::size_t s = 0; s < 200; ++s) {
     const core::SiteObservation site = random_site(rng, s);
-    with_arena.prepare(site);
-    without_arena.prepare(site);
+    context.prepare(site);
     for (const core::DurationModel model :
          {core::DurationModel::kExact, core::DurationModel::kEndless,
           core::DurationModel::kImmediate}) {
       const core::SiteClassification want = classify_reference(site, {model});
       SCOPED_TRACE("site=" + std::to_string(s) + " model=" +
                    core::to_string(model));
-      expect_same_classification(with_arena.classify({model}), want);
-      expect_same_classification(without_arena.classify({model}), want);
+      expect_same_classification(context.classify({model}), want);
       expect_same_classification(core::classify_site(site, {model}), want);
     }
   }
@@ -231,101 +198,6 @@ TEST_P(ArenaSeeds, ContextMatchesReferenceWithArenaOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArenaSeeds,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u));
-
-// -------------------------------------------- hot-path differential
-
-using experiments::StudyConfig;
-using experiments::StudyResults;
-
-StudyConfig small_config(double fault_rate, unsigned threads) {
-  StudyConfig config;
-  config.har_sites = 60;
-  config.alexa_sites = 50;
-  config.har_first_rank = 20;
-  config.seed = 7;
-  config.threads = threads;
-  if (fault_rate > 0) config.faults = fault::FaultConfig::uniform(fault_rate);
-  return config;
-}
-
-std::string report_bytes(const StudyResults& results) {
-  std::string bytes;
-  for (const core::AggregateReport* report :
-       {&results.har_endless, &results.har_immediate, &results.alexa_exact,
-        &results.alexa_endless, &results.nofetch_exact,
-        &results.overlap_har_endless, &results.overlap_alexa_endless}) {
-    bytes += json::write(core::to_json_full(*report));
-    bytes += '\n';
-  }
-  return bytes;
-}
-
-std::string metric_bytes(const StudyResults& results) {
-  json::WriteOptions opts;
-  opts.pretty = true;
-  return json::write(obs::to_json(results.metrics), opts);
-}
-
-/// Journal identity, robust to worker commit interleaving: the HEADER
-/// must match byte-for-byte; the frame payloads must match as a sorted
-/// multiset (at threads>1 the order chunks reach the writer is
-/// scheduling, not measurement).
-std::vector<std::string> journal_frames(const std::string& path) {
-  auto contents = journal::read_journal(path);
-  EXPECT_TRUE(contents) << (contents ? "" : contents.error().message);
-  std::vector<std::string> frames;
-  if (!contents) return frames;
-  frames.push_back(json::write(contents->header));
-  std::vector<std::string> entries;
-  for (const json::Value& entry : contents->entries) {
-    entries.push_back(json::write(entry));
-  }
-  std::sort(entries.begin(), entries.end());
-  frames.insert(frames.end(), entries.begin(), entries.end());
-  return frames;
-}
-
-TEST(ArenaDifferential, StudyBytesAreAllocatorIndependent) {
-  // The satellite contract: crawl the same universe with H2R_ARENA=0/1
-  // across threads {1,2,7} x fault rates {0, 0.25} and diff report JSON,
-  // metric snapshots and journal frames.
-  for (const double fault_rate : {0.0, 0.25}) {
-    for (const unsigned threads : {1u, 2u, 7u}) {
-      SCOPED_TRACE("fault=" + std::to_string(fault_rate) +
-                   " threads=" + std::to_string(threads));
-      const std::string tag = std::to_string(threads) + "_" +
-                              std::to_string(fault_rate > 0 ? 25 : 0);
-      StudyConfig config = small_config(fault_rate, threads);
-
-      const std::string arena_journal = std::string(::testing::TempDir()) +
-                                        "/arena_on_" + tag + ".journal";
-      config.journal_path = arena_journal;
-      StudyResults with_arena;
-      {
-        h2r::testing::EnvGuard guard{"H2R_ARENA", "1"};
-        with_arena = experiments::run_study(config);
-      }
-
-      const std::string heap_journal = std::string(::testing::TempDir()) +
-                                       "/arena_off_" + tag + ".journal";
-      config.journal_path = heap_journal;
-      StudyResults without_arena;
-      {
-        h2r::testing::EnvGuard guard{"H2R_ARENA", "0"};
-        without_arena = experiments::run_study(config);
-      }
-
-      EXPECT_EQ(report_bytes(with_arena), report_bytes(without_arena));
-      EXPECT_EQ(metric_bytes(with_arena), metric_bytes(without_arena));
-      EXPECT_EQ(with_arena.overlap_sites, without_arena.overlap_sites);
-      EXPECT_TRUE(with_arena.har_summary == without_arena.har_summary);
-      EXPECT_TRUE(with_arena.alexa_summary == without_arena.alexa_summary);
-      EXPECT_TRUE(with_arena.nofetch_summary ==
-                  without_arena.nofetch_summary);
-      EXPECT_EQ(journal_frames(arena_journal), journal_frames(heap_journal));
-    }
-  }
-}
 
 }  // namespace
 }  // namespace h2r

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "experiments/study.hpp"
+#include "journal/checkpoint.hpp"
 #include "journal/journal.hpp"
 
 namespace h2r::experiments {
@@ -234,6 +235,77 @@ TEST(JournalResume, ThreadCountIsNotPartOfTheFingerprint) {
   resume_config.threads = 1;
   const StudyResults resumed = run_study(resume_config);
   expect_identical(resumed, journaled);
+}
+
+/// Rewrites the journal at `path` through JournalWriter (so every frame
+/// keeps a valid CRC), applying `edit` to the first chunk of `campaign`.
+template <typename Edit>
+void rewrite_first_chunk(const std::string& path, const std::string& campaign,
+                         Edit edit) {
+  auto contents = journal::read_journal(path);
+  ASSERT_TRUE(contents) << contents.error().message;
+  auto fingerprint = journal::header_fingerprint(contents->header);
+  ASSERT_TRUE(fingerprint) << fingerprint.error().message;
+  auto writer = journal::JournalWriter::create(path, *fingerprint);
+  ASSERT_TRUE(writer) << writer.error().message;
+  bool edited = false;
+  for (const json::Value& entry : contents->entries) {
+    auto chunk = journal::chunk_from_json(entry);
+    ASSERT_TRUE(chunk) << chunk.error().message;
+    if (!edited && chunk->campaign == campaign) {
+      edit(*chunk);
+      edited = true;
+    }
+    ASSERT_TRUE((*writer)->append(journal::to_json(*chunk)));
+  }
+  ASSERT_TRUE(edited) << "no '" << campaign << "' chunk to edit";
+}
+
+void expect_resume_refused(const StudyConfig& config,
+                           const std::string& campaign,
+                           const std::string& key) {
+  try {
+    run_study(config);
+    ADD_FAILURE() << "resume accepted a chunk with a mismatched '" << key
+                  << "' slot";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("'" + campaign + "'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("'" + key + "'"), std::string::npos) << message;
+  }
+}
+
+TEST(JournalResume, ChunkSlotsMustMatchTheCampaign) {
+  // A chunk's reports and tallies must be exactly its campaign's slots.
+  // A chunk lacking a report would otherwise resume "successfully" with
+  // that chunk's sites missing from the report.
+  const StudyConfig config = small_config(0.0);
+  const std::string path = temp_journal("slots");
+  StudyConfig journaled_config = config;
+  journaled_config.journal_path = path;
+  run_study(journaled_config);
+  const std::string pristine = slurp(path);
+
+  StudyConfig resume_config = config;
+  resume_config.journal_path = path;
+  resume_config.resume = true;
+
+  rewrite_first_chunk(path, "alexa", [](journal::ChunkCheckpoint& chunk) {
+    std::erase_if(chunk.reports,
+                  [](const auto& report) { return report.first == "exact"; });
+  });
+  expect_resume_refused(resume_config, "alexa", "exact");
+
+  dump(path, pristine);
+  rewrite_first_chunk(path, "har", [](journal::ChunkCheckpoint& chunk) {
+    chunk.tallies.emplace_back("extra", core::PolicyTally{});
+  });
+  expect_resume_refused(resume_config, "har", "extra");
+
+  // Control: the untouched journal resumes.
+  dump(path, pristine);
+  EXPECT_NO_THROW(run_study(resume_config));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for the counterfactual reuse maximizer (`h2r optimize`, DESIGN
 // §14): the pinned golden ranking, the determinism contract (bit-identical
-// JSON across thread counts and resident/spilled folds), the
-// rate-0 fault differential, and the cross-validation that anchors the
+// JSON across thread counts), the rate-0 fault differential, and the cross-validation that anchors the
 // whole replay design — the ORIGIN-frame policy replay must reproduce a
 // REAL ORIGIN-enabled re-crawl connection-for-connection.
 #include <gtest/gtest.h>
@@ -145,7 +144,7 @@ TEST(OptimizeGolden, RankingOrderIsRecoveredThenCheapest) {
 
 // ------------------------------------------------------------------
 // Determinism contract: the JSON document is bit-identical across
-// thread counts and resident/spilled folds.
+// thread counts.
 
 optimize::OptimizeConfig determinism_config() {
   optimize::OptimizeConfig config;
@@ -169,18 +168,6 @@ TEST(OptimizeDeterminism, JsonIdenticalAcrossThreadsAndStreaming) {
       EXPECT_EQ(doc, reference) << "threads=" << threads;
     }
   }
-}
-
-TEST(OptimizeDeterminism, SpilledFoldMatchesResident) {
-  const optimize::OptimizeConfig resident = determinism_config();
-  const optimize::OptimizeResults base = optimize::run_optimize(resident);
-
-  optimize::OptimizeConfig spilled = resident;
-  spilled.spill_dir = ::testing::TempDir();
-  const optimize::OptimizeResults folded = optimize::run_optimize(spilled);
-  EXPECT_GT(folded.spill_bytes, 0u);
-  EXPECT_EQ(json::write(optimize::to_json(folded)),
-            json::write(optimize::to_json(base)));
 }
 
 TEST(OptimizeDeterminism, RateZeroFaultsMatchNoFaults) {

@@ -7,8 +7,8 @@
 //   * stale handouts fall back to a fresh dial under the shared retry
 //     budget (and abandon when the budget is spent),
 //   * chaos differential: threads x fault-rate x architecture replay
-//     reports are bit-identical; shard count is invisible; fault rate 0
-//     is bit-identical to no injection at all,
+//     reports are bit-identical; fault rate 0 is bit-identical to no
+//     injection at all,
 //   * conservation identities — every injected pool-path fault lands in
 //     exactly one coping bucket (see fault.hpp),
 //   * the FailureSummary JSON codec round-trips the pool counters.
@@ -262,11 +262,10 @@ const std::vector<proxy::SiteTrace>& traces() {
   return *cached;
 }
 
-proxy::ReplayReport run(Architecture arch, double fault_rate, unsigned threads,
-                        std::size_t shards = 8) {
+proxy::ReplayReport run(Architecture arch, double fault_rate,
+                        unsigned threads) {
   proxy::ReplayOptions options;
   options.pool.arch = arch;
-  options.pool.shards = shards;
   options.pool.visits = 4;
   options.pool.faults = fault::FaultConfig::uniform(fault_rate);
   options.pool.faults.seed = 0xC0FFEE;
@@ -285,15 +284,6 @@ TEST(PoolChaosTest, ReportsBitIdenticalAcrossThreadsFaultsAndArchitectures) {
             << to_string(arch) << " rate " << rate << " threads " << threads;
       }
     }
-  }
-}
-
-TEST(PoolChaosTest, SharedReportInvariantToShardCount) {
-  const proxy::ReplayReport base = run(Architecture::kShared, 0.25, 2, 8);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{13}}) {
-    EXPECT_EQ(base, run(Architecture::kShared, 0.25, 2, shards))
-        << "shards " << shards;
   }
 }
 

@@ -4,8 +4,8 @@
 // crawl worker, chunk-windowed report folding) lands on the pinned
 // reference bytes — same report JSON, same summaries, same metric
 // snapshot — at every thread count and fault rate, survives a
-// mid-campaign crash/resume, spills without changing a byte, and keeps
-// the process's peak RSS under an externally imposed budget.
+// mid-campaign crash/resume, folds its windows in any arrival order, and
+// keeps the process's peak RSS under an externally imposed budget.
 //
 // Identity is asserted on serialized bytes, not just operator==: the
 // full-fidelity report codec and the deterministic metric snapshot are
@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,21 +74,6 @@ TEST(StreamingCrawl, FaultFreeStreamingIsBitIdenticalAcrossThreadCounts) {
 
 TEST(StreamingCrawl, FaultyStreamingIsBitIdenticalAcrossThreadCounts) {
   threads_match_reference(0.25, testing::kStudyFaulty);
-}
-
-TEST(StreamingCrawl, SpillingStudyIsBitIdenticalToResidentStreaming) {
-  // The study-level spill differential: ReportFold spill files must
-  // reproduce the resident fold's bytes exactly — the spill file is a
-  // framed detour, not a different aggregation.
-  for (const unsigned threads : {1u, 3u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    StudyConfig config = golden_study_config(threads, 0.0);
-    config.spill_dir = ::testing::TempDir();
-    const StudyResults spilled = run_study(config);
-    expect_pinned(spilled, testing::kStudyFaultFree);
-    // The spill actually happened: every fold wrote frames.
-    EXPECT_GT(spilled.spill_bytes, 0u);
-  }
 }
 
 TEST(StreamingCrawl, HistogramBudgetIsModeIndependent) {
@@ -173,7 +157,7 @@ TEST(StreamingCrawl, StreamingStudySurvivesMidCampaignCrashAndResume) {
   EXPECT_GT(resumed.resumed_sites, 0u);
 }
 
-// ------------------------------------------------ ReportFold spill path
+// ------------------------------------------------ ReportFold arrival order
 
 net::IpAddress ip(const std::string& s) {
   return net::IpAddress::parse(s).value();
@@ -230,69 +214,40 @@ journal::ChunkCheckpoint random_window(util::Rng& rng, std::size_t index) {
   return window;
 }
 
-TEST(ReportFold, SpillingFoldReplaysToResidentTotals) {
-  // The spill file round-trips windows through the journal codec; because
-  // merges are commutative and the codec is full fidelity, the replayed
-  // totals must equal a resident fold of the same windows — in any
-  // arrival order.
+TEST(ReportFold, TotalsAreIndependentOfArrivalOrder) {
+  // Crawl workers hand their windows over in scheduling order; because
+  // report and summary merges are commutative, the totals must not
+  // depend on it.
   util::Rng rng{0xF01D};
   std::vector<journal::ChunkCheckpoint> windows;
   for (std::size_t i = 0; i < 8; ++i) windows.push_back(random_window(rng, i));
 
-  journal::ReportFold resident;
+  journal::ReportFold in_order;
   for (const auto& window : windows) {
-    auto folded = resident.fold(window);
+    auto folded = in_order.fold(window);
     ASSERT_TRUE(folded);
   }
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "/report_fold.spill";
-  auto spilling = journal::ReportFold::spilling(path);
-  ASSERT_TRUE(spilling) << spilling.error().message;
-  std::vector<std::size_t> order(windows.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  for (const std::size_t i : order) {
-    auto folded = (*spilling)->fold(windows[i]);
-    ASSERT_TRUE(folded) << folded.error().message;
-  }
-  EXPECT_EQ((*spilling)->windows(), windows.size());
-
-  auto resident_totals = resident.finish();
-  ASSERT_TRUE(resident_totals);
-  auto spilled_totals = (*spilling)->finish();
-  ASSERT_TRUE(spilled_totals) << spilled_totals.error().message;
-
-  EXPECT_EQ(spilled_totals->windows, resident_totals->windows);
-  EXPECT_EQ(spilled_totals->overlap_sites, resident_totals->overlap_sites);
-  EXPECT_TRUE(spilled_totals->summary == resident_totals->summary);
-  ASSERT_EQ(spilled_totals->reports.size(), resident_totals->reports.size());
-  for (const auto& [name, report] : resident_totals->reports) {
-    ASSERT_TRUE(spilled_totals->reports.count(name));
-    EXPECT_EQ(spilled_totals->reports.at(name), report) << name;
-  }
-  EXPECT_GT(spilled_totals->spill_bytes, 0u);
-}
-
-TEST(ReportFold, TornSpillTailIsAHardError) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/report_fold_torn.spill";
-  auto fold = journal::ReportFold::spilling(path);
-  ASSERT_TRUE(fold) << fold.error().message;
-  util::Rng rng{0xBAD};
-  for (std::size_t i = 0; i < 3; ++i) {
-    auto folded = (*fold)->fold(random_window(rng, i));
+  journal::ReportFold reversed;
+  for (auto window = windows.rbegin(); window != windows.rend(); ++window) {
+    auto folded = reversed.fold(*window);
     ASSERT_TRUE(folded);
   }
-  // Tear the last frame in half before finish() replays the file. A torn
-  // SPILL tail means this process lost a window — unlike the crash
-  // journal, that is corruption, not recoverable progress.
-  const std::string data = slurp(path);
-  dump(path, data.substr(0, offset_after(data, 2) + 4));
-  auto totals = (*fold)->finish();
-  ASSERT_FALSE(totals);
-  EXPECT_NE(totals.error().message.find("torn"), std::string::npos)
-      << totals.error().message;
+  EXPECT_EQ(reversed.windows(), windows.size());
+
+  auto want = in_order.finish();
+  ASSERT_TRUE(want);
+  auto got = reversed.finish();
+  ASSERT_TRUE(got);
+
+  EXPECT_EQ(got->windows, want->windows);
+  EXPECT_EQ(got->overlap_sites, want->overlap_sites);
+  EXPECT_TRUE(got->summary == want->summary);
+  ASSERT_EQ(got->reports.size(), want->reports.size());
+  for (const auto& [name, report] : want->reports) {
+    ASSERT_TRUE(got->reports.count(name));
+    EXPECT_EQ(got->reports.at(name), report) << name;
+  }
 }
 
 // --------------------------------------------------- peak-RSS budgeting

@@ -58,11 +58,10 @@ int usage() {
                "usage:\n"
                "  h2r audit <page.har> [--json]\n"
                "  h2r study [--journal <path>] [--resume] [--json <out>]\n"
-               "            [--metrics <out>] [--spill <dir>]\n"
-               "            [--hist-budget <n>]\n"
+               "            [--metrics <out>] [--hist-budget <n>]\n"
                "  h2r replay [--proxy shared|worker|both] [--sites N]\n"
                "            [--json <out>] [--metrics <out>]\n"
-               "  h2r optimize [--sites N] [--json <out>] [--spill <dir>]\n"
+               "  h2r optimize [--sites N] [--json <out>]\n"
                "  h2r crawl <config.json> <landing-domain> [resource-domain...]\n"
                "  h2r dns-overlap <config.json> <domain-a> <domain-b>\n"
                "  h2r snapshot <out.json> [site-count]\n"
@@ -75,9 +74,7 @@ int usage() {
                "--resume) / H2R_SITE_DEADLINE_MS\n"
                "metrics:     H2R_METRICS (or --metrics) — write the "
                "deterministic metric snapshot as JSON\n"
-               "scale:       H2R_SPILL (or --spill) — spill report windows "
-               "to <dir> and merge at the end\n"
-               "             H2R_HIST_BUDGET (or --hist-budget) — cap every "
+               "scale:       H2R_HIST_BUDGET (or --hist-budget) — cap every "
                "duration histogram at <n> bins\n"
                "optimize:    H2R_POLICY_DURATION (endless|immediate|exact) / "
                "H2R_POLICY_ORIGIN_FRAME / H2R_POLICY_SYNC_DNS /\n"
@@ -186,8 +183,6 @@ int cmd_study(int argc, char** argv) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       config.metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
-      config.spill_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--hist-budget") == 0 && i + 1 < argc) {
       const auto budget = flag_u64("--hist-budget", argv[++i], 1);
       if (!budget) return 2;
@@ -208,10 +203,6 @@ int cmd_study(int argc, char** argv) {
   if (!config.journal_path.empty()) {
     std::printf("journal: %s%s\n", config.journal_path.c_str(),
                 config.resume ? " (resuming)" : "");
-  }
-  if (!config.spill_dir.empty()) {
-    std::printf("spill: report windows spill to %s\n",
-                config.spill_dir.c_str());
   }
   if (config.hist_budget > 0) {
     std::printf("histograms: budgeted to %u bins\n", config.hist_budget);
@@ -267,11 +258,6 @@ int cmd_study(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  if (!config.spill_dir.empty()) {
-    std::printf("\nspill: %llu bytes of report windows framed to %s\n",
-                static_cast<unsigned long long>(r.spill_bytes),
-                config.spill_dir.c_str());
-  }
 
   if (!r.metrics.empty()) {
     std::printf("\nmetrics:\n%s", obs::render_table(r.metrics).c_str());
@@ -312,8 +298,6 @@ int cmd_optimize(int argc, char** argv) {
       config.sites = static_cast<std::size_t>(*sites);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
-      config.spill_dir = argv[++i];
     } else {
       return usage();
     }
@@ -584,8 +568,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const char* cmd = argv[1];
   if (std::strcmp(cmd, "audit") == 0 && (argc == 3 || argc == 4)) {
-    const bool as_json = argc == 4 && std::strcmp(argv[3], "--json") == 0;
-    return cmd_audit(argv[2], as_json);
+    if (argc == 4 && std::strcmp(argv[3], "--json") != 0) {
+      std::fprintf(stderr, "audit: unknown argument '%s'\n", argv[3]);
+      return usage();
+    }
+    return cmd_audit(argv[2], argc == 4);
   }
   if (std::strcmp(cmd, "study") == 0) return cmd_study(argc - 2, argv + 2);
   if (std::strcmp(cmd, "optimize") == 0) {
