@@ -45,7 +45,8 @@ int main() {
   spark_row("Alexa w/o Fetch", r.nofetch_exact);
 
   // Optional machine-readable dump for plotting: set H2R_CSV_DIR.
-  if (const std::string dir = util::env_string("H2R_CSV_DIR"); !dir.empty()) {
+  if (const std::string dir = util::env("H2R_CSV_DIR", std::string{});
+      !dir.empty()) {
     const struct {
       const char* name;
       const core::AggregateReport* report;

@@ -18,7 +18,6 @@
 // byte-diffs across thread counts.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "json/json.hpp"
 #include "pool/pool.hpp"
 #include "pool/replay.hpp"
+#include "util/env.hpp"
 #include "web/catalog.hpp"
 #include "web/sitegen.hpp"
 
@@ -52,7 +52,7 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const experiments::StudyConfig sc = experiments::StudyConfig::from_env();
   std::size_t sites = sc.alexa_sites;
   double gate_shared_min = 0.99;
@@ -62,15 +62,16 @@ int main(int argc, char** argv) {
   const char* json_out = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      sites = std::strtoull(argv[++i], nullptr, 10);
+      sites = util::parse_flag<std::size_t>("H2R_ALEXA_SITES", "--sites",
+                                            argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--gate-shared-min") == 0 && i + 1 < argc) {
-      gate_shared_min = std::strtod(argv[++i], nullptr);
+      gate_shared_min = util::parse_rate("--gate-shared-min", argv[++i]);
     } else if (std::strcmp(argv[i], "--gate-worker-min") == 0 && i + 1 < argc) {
-      gate_worker_min = std::strtod(argv[++i], nullptr);
+      gate_worker_min = util::parse_rate("--gate-worker-min", argv[++i]);
     } else if (std::strcmp(argv[i], "--gate-worker-max") == 0 && i + 1 < argc) {
-      gate_worker_max = std::strtod(argv[++i], nullptr);
+      gate_worker_max = util::parse_rate("--gate-worker-max", argv[++i]);
     } else if (std::strcmp(argv[i], "--no-gates") == 0) {
       gates = false;
     } else {
@@ -111,12 +112,12 @@ int main(int argc, char** argv) {
     json::Object root;
     root.set("worker", proxy::to_json(worker));
     root.set("shared", proxy::to_json(shared));
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_out);
+    const auto written = json::write_file(
+        json_out, json::Value{std::move(root)}, /*pretty=*/false);
+    if (!written) {
+      std::fprintf(stderr, "%s\n", written.error().message.c_str());
       return 1;
     }
-    out << json::write(json::Value{std::move(root)}) << "\n";
     std::printf("wrote replay reports to %s\n", json_out);
   }
 
@@ -133,4 +134,7 @@ int main(int argc, char** argv) {
     ok = ok && gate.pass();
   }
   return ok ? 0 : 1;
+} catch (const util::ConfigError& error) {
+  std::fprintf(stderr, "%s\n", error.what());
+  return 2;
 }

@@ -10,7 +10,7 @@
 //   bench_scale_sites [--sites N]... [--threads N] [--json <out>]
 //
 // Environment:
-//   H2R_THREADS        worker threads (flag overrides)
+//   H2R_THREADS        worker threads (flag overrides; not clamped here)
 //   H2R_HIST_BUDGET    histogram bin budget (default 64 here; 0 = exact)
 //   H2R_RSS_BUDGET_MB  exit non-zero when the process's peak RSS (VmHWM)
 //                      exceeds this after the sweep — the CI scale job
@@ -24,9 +24,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,34 +125,21 @@ ScalePoint run_scale(std::size_t sites, unsigned threads,
   return point;
 }
 
-/// A positive integer flag under util::parse_u64's whole-string rule;
-/// nullopt, after naming the flag on stderr, when it is malformed or 0.
-std::optional<std::uint64_t> positive_flag(const char* flag,
-                                           const char* text) {
-  const auto value = util::parse_u64(text);
-  if (value && *value >= 1) return value;
-  std::fprintf(stderr, "%s wants an integer >= 1, got '%s'\n", flag, text);
-  return std::nullopt;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  util::reject_unknown_env();
   std::vector<std::size_t> scales;
   const char* json_out = nullptr;
-  unsigned threads = static_cast<unsigned>(util::env_u64("H2R_THREADS", 4, 1));
-  const std::uint32_t hist_budget = static_cast<std::uint32_t>(
-      util::env_u64("H2R_HIST_BUDGET", 64, 0));
+  unsigned threads = util::env("H2R_THREADS", 4u);
+  const std::uint32_t hist_budget =
+      util::env("H2R_HIST_BUDGET", std::uint32_t{64});
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      const auto sites = positive_flag("--sites", argv[++i]);
-      if (!sites) return 2;
-      scales.push_back(static_cast<std::size_t>(*sites));
+      scales.push_back(util::parse_count("--sites", argv[++i]));
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const auto count = positive_flag("--threads", argv[++i]);
-      if (!count) return 2;
-      threads = static_cast<unsigned>(
-          std::min<std::uint64_t>(*count, 0xFFFFFFFFull));
+      threads = util::parse_flag<unsigned>("H2R_THREADS", "--threads",
+                                           argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else {
@@ -203,19 +188,18 @@ int main(int argc, char** argv) {
     root.set("threads", static_cast<std::int64_t>(threads));
     root.set("hist_budget", static_cast<std::int64_t>(hist_budget));
     root.set("scales", std::move(scale_points));
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_out);
+    const auto written = json::write_file(
+        json_out, json::Value{std::move(root)}, /*pretty=*/true);
+    if (!written) {
+      std::fprintf(stderr, "%s\n", written.error().message.c_str());
       return 1;
     }
-    json::WriteOptions opts;
-    opts.pretty = true;
-    out << json::write(json::Value{std::move(root)}, opts) << "\n";
     std::printf("\n# wrote %s\n", json_out);
   }
 
   // The CI memory guard: a streaming sweep must fit the documented budget.
-  const std::uint64_t budget_mb = util::env_u64("H2R_RSS_BUDGET_MB", 0, 0);
+  const std::uint64_t budget_mb =
+      util::env("H2R_RSS_BUDGET_MB", std::uint64_t{0});
   if (budget_mb > 0) {
     const std::uint64_t rss_kib = obs::peak_rss_kib();
     if (rss_kib == 0) {
@@ -235,4 +219,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const util::ConfigError& error) {
+  std::fprintf(stderr, "%s\n", error.what());
+  return 2;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <optional>
 
 #include "fault/fault.hpp"
@@ -30,7 +30,8 @@ const experiments::StudyResults& study() {
         config.threads);
     banner_printed = true;
   }
-  const experiments::StudyResults& results = experiments::shared_study(config);
+  static const experiments::StudyResults results =
+      experiments::run_study(config);
   if (first_call) {
     // Per-worker baseline for perf PRs: sites/connections per worker plus
     // wall, CPU and queue-wait time of each crawl worker.
@@ -67,17 +68,14 @@ const experiments::StudyResults& study() {
                   obs::render_table(results.metrics).c_str());
     }
     if (!config.metrics_path.empty()) {
-      std::ofstream out(config.metrics_path);
-      if (out) {
-        json::WriteOptions opts;
-        opts.pretty = true;
-        out << json::write(obs::to_json(results.metrics), opts) << "\n";
-        std::printf("# wrote metric snapshot to %s\n",
-                    config.metrics_path.c_str());
-      } else {
-        std::printf("# cannot write metric snapshot to %s\n",
-                    config.metrics_path.c_str());
+      const auto written = json::write_file(
+          config.metrics_path, obs::to_json(results.metrics), /*pretty=*/true);
+      if (!written) {
+        std::fprintf(stderr, "%s\n", written.error().message.c_str());
+        std::exit(1);
       }
+      std::printf("# wrote metric snapshot to %s\n",
+                  config.metrics_path.c_str());
     }
     std::printf("\n");
   }

@@ -429,7 +429,6 @@ Browser::FetchOutcome Browser::fetch_with_retry(
     if (attempt > 0) ++page.result.failures.retry_successes;
   } else {
     ++page.result.failures.failed_fetches;
-    ++page.result.failed_fetches;
   }
   return outcome;
 }
@@ -652,7 +651,8 @@ PageLoadResult Browser::load(const web::Website& site,
     metrics_->add("browser.misdirected_retries",
                   page.result.misdirected_retries);
     metrics_->add("browser.fetch_retries", page.result.failures.retries);
-    metrics_->add("browser.failed_fetches", page.result.failed_fetches);
+    metrics_->add("browser.failed_fetches",
+                  page.result.failures.failed_fetches);
     metrics_->add("browser.degraded_resources",
                   page.result.failures.degraded_resources);
     metrics_->gauge_max(

@@ -109,8 +109,6 @@ struct PageLoadResult {
   std::uint64_t alias_reuses = 0;         // IP-pooling hits
   std::uint64_t origin_frame_reuses = 0;  // RFC 8336 hits
   std::uint64_t misdirected_retries = 0;  // 421s
-  /// Resources that ultimately failed (mirrors failures.failed_fetches).
-  std::uint64_t failed_fetches = 0;
   /// Injected faults, retries, degradation — the fault layer's ledger.
   /// fetch_attempts == successful_fetches + failed_fetches always holds.
   fault::FailureSummary failures;

@@ -48,7 +48,8 @@ Policy Policy::with_mask(std::uint8_t mask, const Policy& base) {
 
 Policy Policy::from_env() {
   Policy p;
-  const std::string duration = util::env_string("H2R_POLICY_DURATION", "exact");
+  const std::string duration =
+      util::env("H2R_POLICY_DURATION", std::string("exact"));
   if (duration == "endless") {
     p.duration = DurationModel::kEndless;
   } else if (duration == "immediate") {
@@ -56,10 +57,10 @@ Policy Policy::from_env() {
   } else {
     p.duration = DurationModel::kExact;
   }
-  p.origin_frame = util::env_flag("H2R_POLICY_ORIGIN_FRAME");
-  p.sync_dns = util::env_flag("H2R_POLICY_SYNC_DNS");
-  p.cert_consolidation = util::env_flag("H2R_POLICY_CERT_CONSOLIDATION");
-  p.ignore_credentials = util::env_flag("H2R_POLICY_IGNORE_CREDENTIALS");
+  p.origin_frame = util::env("H2R_POLICY_ORIGIN_FRAME", false);
+  p.sync_dns = util::env("H2R_POLICY_SYNC_DNS", false);
+  p.cert_consolidation = util::env("H2R_POLICY_CERT_CONSOLIDATION", false);
+  p.ignore_credentials = util::env("H2R_POLICY_IGNORE_CREDENTIALS", false);
   return p;
 }
 

@@ -77,8 +77,9 @@ struct Policy {
   static Policy with_mask(std::uint8_t mask, const Policy& base);
   static Policy with_mask(std::uint8_t mask);
 
-  /// Reads H2R_POLICY_DURATION (endless|immediate|exact) and the four
-  /// H2R_POLICY_* knob flags. Unset flags stay off.
+  /// Reads H2R_POLICY_DURATION (exact|endless|immediate; anything else
+  /// throws util::ConfigError) and the four H2R_POLICY_* knob switches.
+  /// Unset switches stay off.
   static Policy from_env();
 
   /// Every field, duration and horizon included: two distinct policy

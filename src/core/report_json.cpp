@@ -2,51 +2,6 @@
 
 namespace h2r::core {
 
-namespace {
-
-json::Value cause_tally_json(const AggregateReport& report, Cause cause) {
-  const auto it = report.by_cause.find(cause);
-  return json::encode(it == report.by_cause.end() ? CauseTally{}
-                                                  : it->second);
-}
-
-json::Value origin_table_json(const std::map<std::string, OriginTally>& table,
-                              std::size_t top_n) {
-  json::Array rows;
-  for (const auto& [origin, tally] : top_k(table, top_n)) {
-    json::Object row;
-    row.set("origin", origin);
-    row.set("connections", static_cast<std::int64_t>(tally->connections));
-    if (!tally->issuer.empty()) row.set("issuer", tally->issuer);
-    if (const auto prev = top_previous(*tally)) {
-      json::Object prev_obj;
-      prev_obj.set("origin", prev->first);
-      prev_obj.set("connections", static_cast<std::int64_t>(prev->second));
-      row.set("top_previous", std::move(prev_obj));
-    }
-    rows.emplace_back(std::move(row));
-  }
-  return json::Value{std::move(rows)};
-}
-
-/// Issuer and AS rows: `name_key` names the row, then its connection
-/// count and distinct-domain count.
-template <typename Tally>
-json::Value domains_table_json(const std::map<std::string, Tally>& table,
-                               std::size_t top_n, const char* name_key) {
-  json::Array rows;
-  for (const auto& [name, tally] : top_k(table, top_n)) {
-    json::Object row;
-    row.set(name_key, name);
-    row.set("connections", static_cast<std::int64_t>(tally->connections));
-    row.set("domains", static_cast<std::int64_t>(tally->domains.size()));
-    rows.emplace_back(std::move(row));
-  }
-  return json::Value{std::move(rows)};
-}
-
-}  // namespace
-
 json::Value histogram_to_json(const stats::TimeHistogram& histogram) {
   json::Array samples;
   for (const auto& [value, count] : histogram) {
@@ -138,56 +93,6 @@ util::Expected<fault::FailureSummary> failure_summary_from_json(
 
 json::Value to_json_full(const AggregateReport& report) {
   return json::encode(report);
-}
-
-json::Value to_json(const AggregateReport& report, std::size_t top_n) {
-  json::Object root;
-  root.set("analyzed_sites", static_cast<std::int64_t>(report.analyzed_sites));
-  root.set("h2_sites", static_cast<std::int64_t>(report.h2_sites));
-  root.set("redundant_sites",
-           static_cast<std::int64_t>(report.redundant_sites));
-  root.set("total_connections",
-           static_cast<std::int64_t>(report.total_connections));
-  root.set("redundant_connections",
-           static_cast<std::int64_t>(report.redundant_connections));
-  root.set("filtered_requests",
-           static_cast<std::int64_t>(report.filtered_requests));
-
-  // Always the paper's three cause columns, zeros included, so CI diffs
-  // line up across runs.
-  json::Object causes;
-  causes.set("CERT", cause_tally_json(report, Cause::kCert));
-  causes.set("IP", cause_tally_json(report, Cause::kIp));
-  causes.set("CRED", cause_tally_json(report, Cause::kCred));
-  root.set("causes", std::move(causes));
-
-  // Figure 2 histogram as self-describing objects.
-  json::Array histogram;
-  for (const auto& [count, sites] : report.redundant_per_site_histogram) {
-    json::Object bucket;
-    bucket.set("redundant_connections", static_cast<std::int64_t>(count));
-    bucket.set("sites", static_cast<std::int64_t>(sites));
-    histogram.emplace_back(std::move(bucket));
-  }
-  root.set("redundant_per_site", std::move(histogram));
-
-  // Attribution tables as top-N row arrays.
-  root.set("ip_origins", origin_table_json(report.ip_origins, top_n));
-  root.set("cert_domains", origin_table_json(report.cert_domains, top_n));
-  root.set("cert_issuers",
-           domains_table_json(report.cert_issuers, top_n, "issuer"));
-  root.set("all_issuers",
-           domains_table_json(report.all_issuers, top_n, "issuer"));
-  root.set("ip_ases", domains_table_json(report.ip_ases, top_n, "as"));
-
-  root.set("closed_connections",
-           static_cast<std::int64_t>(report.closed_connections));
-  if (const auto median = report.median_closed_lifetime()) {
-    root.set("median_closed_lifetime_ms", static_cast<std::int64_t>(*median));
-  }
-  root.set("cred_same_domain_connections",
-           static_cast<std::int64_t>(report.cred_same_domain_connections));
-  return json::Value{std::move(root)};
 }
 
 util::Expected<AggregateReport> report_from_json(const json::Value& value) {

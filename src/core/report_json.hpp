@@ -11,15 +11,6 @@
 
 namespace h2r::core {
 
-/// Untruncated `top_n` for to_json: every attribution row is emitted.
-inline constexpr std::size_t kAllRows = static_cast<std::size_t>(-1);
-
-/// The human/CI-facing shape: per-cause tallies, the Figure 2 histogram
-/// and the attribution tables truncated to the top `top_n` rows;
-/// previous-origin maps and domain sets are summarized, so this shape is
-/// NOT losslessly parseable.
-json::Value to_json(const AggregateReport& report, std::size_t top_n = 20);
-
 /// The lossless journal shape, generated from AggregateReport's field
 /// table (json/fields.hpp): every attribution row with its complete
 /// previous-origin map, full domain sets and the raw TimeHistogram

@@ -1,10 +1,6 @@
 #include "experiments/study.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "journal/campaign.hpp"
@@ -80,32 +76,21 @@ struct BoundCampaign {
 }  // namespace
 
 StudyConfig StudyConfig::from_env() {
+  util::reject_unknown_env();
   StudyConfig config;
-  config.har_sites = static_cast<std::size_t>(
-      util::env_u64("H2R_HAR_SITES", config.har_sites, 1));
-  config.alexa_sites = static_cast<std::size_t>(
-      util::env_u64("H2R_ALEXA_SITES", config.alexa_sites, 1));
-  config.har_first_rank = static_cast<std::size_t>(
-      util::env_u64("H2R_HAR_FIRST_RANK", config.har_first_rank, 1));
-  config.seed = util::env_u64("H2R_SEED", config.seed, 1);
-  // Bad and zero thread counts fall back; anything above the machine's
-  // concurrency is clamped — requesting 10^6 workers must not fork 10^6
-  // browsers.
-  const unsigned hardware =
-      std::max(1u, std::thread::hardware_concurrency());
-  config.threads = std::min(
-      std::max(1u, static_cast<unsigned>(
-                       util::env_u64("H2R_THREADS", config.threads, 1))),
-      hardware);
+  config.har_sites = util::env("H2R_HAR_SITES", config.har_sites);
+  config.alexa_sites = util::env("H2R_ALEXA_SITES", config.alexa_sites);
+  config.har_first_rank =
+      util::env("H2R_HAR_FIRST_RANK", config.har_first_rank);
+  config.seed = util::env("H2R_SEED", config.seed);
+  config.threads = util::env_threads(config.threads);
   config.faults = fault::FaultConfig::from_env();
   config.site_deadline =
-      static_cast<util::SimTime>(util::env_u64("H2R_SITE_DEADLINE_MS", 0, 1));
-  config.journal_path = util::env_string("H2R_JOURNAL");
-  config.resume = util::env_flag("H2R_RESUME");
-  config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
-      0xFFFFFFFFull));
-  config.metrics_path = util::env_string("H2R_METRICS");
+      util::env("H2R_SITE_DEADLINE_MS", config.site_deadline);
+  config.journal_path = util::env("H2R_JOURNAL", std::string{});
+  config.resume = util::env("H2R_RESUME", false);
+  config.hist_budget = util::env("H2R_HIST_BUDGET", config.hist_budget);
+  config.metrics_path = util::env("H2R_METRICS", std::string{});
   return config;
 }
 
@@ -253,32 +238,6 @@ StudyResults run_study(const StudyConfig& config) {
   }
 
   return results;
-}
-
-const StudyResults& shared_study(const StudyConfig& config) {
-  static std::mutex mutex;  // guards: cache
-  static std::map<std::string, std::unique_ptr<StudyResults>> cache;
-  // `threads` is deliberately absent: the crawl layer guarantees
-  // thread-count-independent results, so runs differing only in
-  // parallelism share one cache slot. The fault signature, watchdog
-  // deadline and histogram budget change what is measured; the journal
-  // knobs are keyed so a bench that sets them pays for its I/O instead of
-  // hitting the cache.
-  const std::string key = std::to_string(config.har_sites) + "/" +
-                          std::to_string(config.alexa_sites) + "/" +
-                          std::to_string(config.har_first_rank) + "/" +
-                          std::to_string(config.seed) + "/" +
-                          config.faults.signature() + "/dl" +
-                          std::to_string(config.site_deadline) + "/hb" +
-                          std::to_string(config.hist_budget) + "/j[" +
-                          config.journal_path +
-                          (config.resume ? "+resume" : "") + "]";
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& slot = cache[key];
-  if (slot == nullptr) {
-    slot = std::make_unique<StudyResults>(run_study(config));
-  }
-  return *slot;
 }
 
 }  // namespace h2r::experiments

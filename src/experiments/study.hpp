@@ -39,8 +39,8 @@ struct StudyConfig {
   /// CrawlOptions::threads; the campaigns run concurrently, so a study
   /// runs up to three times this many crawl workers. Results are
   /// identical for every value (the crawl's determinism contract); this
-  /// only changes wall time. `from_env()` reads H2R_THREADS and clamps it
-  /// to std::thread::hardware_concurrency().
+  /// only changes wall time. `from_env()` reads H2R_THREADS through
+  /// util::env_threads, which clamps it to the machine's core count.
   unsigned threads = 1;
   /// Run the patched (ignore Fetch credentials) Alexa crawl as well.
   bool run_no_fetch = true;
@@ -75,23 +75,22 @@ struct StudyConfig {
   /// each histogram to N bins by deterministically coarsening the time
   /// resolution (stats::TimeHistogram), making report memory independent
   /// of crawl length. Changes serialized bytes, so it IS part of the
-  /// journal fingerprint and the shared_study key. `from_env()` reads
-  /// H2R_HIST_BUDGET.
+  /// journal fingerprint. `from_env()` reads H2R_HIST_BUDGET.
   std::uint32_t hist_budget = 0;
   /// Path to write the study's merged metric snapshot to (pretty JSON,
   /// obs::to_json schema); empty = don't write one. Only DETERMINISTIC
   /// metrics are exported — the snapshot is bit-identical for every
   /// thread count, which CI diffs byte-for-byte. Not part of the journal
-  /// fingerprint or the shared_study cache key: where the snapshot goes
-  /// cannot change what is measured. `from_env()` reads H2R_METRICS.
+  /// fingerprint: where the snapshot goes cannot change what is measured.
+  /// `from_env()` reads H2R_METRICS.
   std::string metrics_path;
 
-  /// Reads H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS /
-  /// H2R_FAULT_* / H2R_SITE_DEADLINE_MS / H2R_JOURNAL / H2R_RESUME /
-  /// H2R_HIST_BUDGET / H2R_METRICS overrides via
-  /// util/env.hpp. Invalid or non-positive values fall back to the
-  /// defaults; H2R_THREADS is clamped to the machine's hardware
-  /// concurrency.
+  /// Reads H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_HAR_FIRST_RANK /
+  /// H2R_SEED / H2R_THREADS / H2R_FAULT_* / H2R_SITE_DEADLINE_MS /
+  /// H2R_JOURNAL / H2R_RESUME / H2R_HIST_BUDGET / H2R_METRICS through
+  /// util/env.hpp. Unset values keep the defaults; a malformed or
+  /// out-of-range value, or an H2R_* variable with no row in
+  /// util::kKnobs, throws util::ConfigError.
   static StudyConfig from_env();
 };
 
@@ -151,10 +150,5 @@ struct StudyResults {
 /// a different config (fingerprint mismatch), or holds overlapping /
 /// out-of-range chunks.
 StudyResults run_study(const StudyConfig& config);
-
-/// Returns a process-wide cached study for the given config (first call
-/// runs it). Bench binaries registering several google-benchmark cases
-/// share one run this way.
-const StudyResults& shared_study(const StudyConfig& config);
 
 }  // namespace h2r::experiments

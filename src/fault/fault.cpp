@@ -33,13 +33,11 @@ FaultConfig FaultConfig::uniform(double rate) {
 }
 
 FaultConfig FaultConfig::from_env() {
-  FaultConfig config = uniform(util::env_double("H2R_FAULT_RATE", 0.0));
-  config.seed = util::env_u64("H2R_FAULT_SEED", config.seed);
-  config.max_retries = static_cast<int>(util::env_u64(
-      "H2R_FAULT_RETRIES", static_cast<std::uint64_t>(config.max_retries)));
-  config.backoff_base = util::milliseconds(static_cast<long long>(
-      util::env_u64("H2R_FAULT_BACKOFF_MS",
-                    static_cast<std::uint64_t>(config.backoff_base))));
+  FaultConfig config = uniform(util::env("H2R_FAULT_RATE", 0.0));
+  config.seed = util::env("H2R_FAULT_SEED", config.seed);
+  config.max_retries = util::env("H2R_FAULT_RETRIES", config.max_retries);
+  config.backoff_base =
+      util::env("H2R_FAULT_BACKOFF_MS", config.backoff_base);
   return config;
 }
 

@@ -90,8 +90,9 @@ struct FaultConfig {
   static FaultConfig uniform(double rate);
 
   /// Reads H2R_FAULT_RATE (uniform rate for every kind), H2R_FAULT_SEED,
-  /// H2R_FAULT_RETRIES and H2R_FAULT_BACKOFF_MS. Unset/invalid values
-  /// keep the defaults (rate 0 = off).
+  /// H2R_FAULT_RETRIES and H2R_FAULT_BACKOFF_MS through util/env.hpp.
+  /// Unset values keep the defaults (rate 0 = off); a malformed or
+  /// out-of-range one throws util::ConfigError.
   static FaultConfig from_env();
 
   /// Compact cache-key string ("off" when disabled) — study result caches

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace h2r::json {
 
@@ -503,6 +504,19 @@ class Writer {
 
 std::string write(const Value& value, const WriteOptions& opts) {
   return Writer{opts}.result(value);
+}
+
+util::Expected<bool> write_file(const std::string& path, const Value& value,
+                                bool pretty) {
+  std::ofstream out(path);
+  if (out) {
+    WriteOptions opts;
+    opts.pretty = pretty;
+    out << write(value, opts) << '\n';
+    out.close();
+  }
+  if (!out) return util::unexpected(util::Error{"cannot write " + path});
+  return true;
 }
 
 }  // namespace h2r::json

@@ -148,4 +148,10 @@ struct WriteOptions {
 /// Serializes `value` to a JSON string.
 std::string write(const Value& value, const WriteOptions& opts = {});
 
+/// Writes `value`, pretty or compact, and a newline to the file at
+/// `path`; the error ("cannot write <path>") covers opening, writing and
+/// closing.
+util::Expected<bool> write_file(const std::string& path, const Value& value,
+                                bool pretty);
+
 }  // namespace h2r::json

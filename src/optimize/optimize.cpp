@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "core/report_json.hpp"
@@ -37,19 +36,12 @@ std::string percent(std::uint64_t part, std::uint64_t whole) {
 }  // namespace
 
 OptimizeConfig OptimizeConfig::from_env() {
+  util::reject_unknown_env();
   OptimizeConfig config;
-  config.sites = static_cast<std::size_t>(
-      util::env_u64("H2R_ALEXA_SITES", config.sites, 1));
-  config.seed = util::env_u64("H2R_SEED", config.seed, 1);
-  const unsigned hardware =
-      std::max(1u, std::thread::hardware_concurrency());
-  config.threads = std::min(
-      std::max(1u, static_cast<unsigned>(
-                       util::env_u64("H2R_THREADS", config.threads, 1))),
-      hardware);
-  config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
-      0xFFFFFFFFull));
+  config.sites = util::env("H2R_ALEXA_SITES", config.sites);
+  config.seed = util::env("H2R_SEED", config.seed);
+  config.threads = util::env_threads(config.threads);
+  config.hist_budget = util::env("H2R_HIST_BUDGET", config.hist_budget);
   config.faults = fault::FaultConfig::from_env();
   // H2R_POLICY_DURATION picks the duration every point inherits; any
   // H2R_POLICY_* knob flags RESTRICT the sweep to subsets of those knobs.

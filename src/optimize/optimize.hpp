@@ -38,8 +38,8 @@ struct OptimizeConfig {
   std::size_t sites = 1000;
   std::uint64_t seed = 42;
   /// Worker threads, forwarded to CrawlOptions::threads. Results are
-  /// identical for every value; `from_env()` reads H2R_THREADS and clamps
-  /// to hardware concurrency.
+  /// identical for every value; `from_env()` reads H2R_THREADS through
+  /// util::env_threads, which clamps it to the machine's core count.
   unsigned threads = 1;
   /// Ignored: every sweep streams. perfbench/workload.cpp is its last writer.
   bool stream = false;
@@ -59,7 +59,9 @@ struct OptimizeConfig {
   std::uint8_t knob_mask = core::kAllPolicyKnobs;
 
   /// Reads H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS / H2R_HIST_BUDGET /
-  /// H2R_FAULT_* / H2R_POLICY_* overrides.
+  /// H2R_FAULT_* / H2R_POLICY_* through util/env.hpp, under the same rule
+  /// as StudyConfig::from_env (a bad value or unknown name throws
+  /// util::ConfigError).
   static OptimizeConfig from_env();
 };
 

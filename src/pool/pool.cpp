@@ -19,39 +19,22 @@ std::string to_string(Architecture arch) {
 }
 
 PoolConfig PoolConfig::from_env() {
+  util::reject_unknown_env();
   PoolConfig config;
-  const std::string arch = util::env_string("H2R_POOL_ARCH", "shared");
-  config.arch =
-      arch == "worker" ? Architecture::kWorker : Architecture::kShared;
-  config.workers = util::env_u64("H2R_POOL_WORKERS", config.workers, 1);
-  config.visits = util::env_u64("H2R_POOL_VISITS", config.visits, 1);
-  config.site_interval = util::milliseconds(static_cast<std::int64_t>(
-      util::env_u64("H2R_POOL_SITE_INTERVAL_MS",
-                    static_cast<std::uint64_t>(config.site_interval))));
-  config.visit_spacing = util::milliseconds(static_cast<std::int64_t>(
-      util::env_u64("H2R_POOL_VISIT_SPACING_MS",
-                    static_cast<std::uint64_t>(config.visit_spacing))));
-  config.idle_timeout = util::milliseconds(static_cast<std::int64_t>(
-      util::env_u64("H2R_POOL_IDLE_MS",
-                    static_cast<std::uint64_t>(config.idle_timeout))));
-  config.key_idle_cap =
-      util::env_u64("H2R_POOL_KEY_CAP", config.key_idle_cap, 1);
-  config.max_streams = static_cast<std::uint32_t>(
-      util::env_u64("H2R_POOL_MAX_STREAMS", config.max_streams, 1));
-  config.breaker.threshold = static_cast<int>(util::env_u64(
-      "H2R_POOL_BREAKER_THRESHOLD",
-      static_cast<std::uint64_t>(config.breaker.threshold)));
-  config.breaker.cooldown = util::milliseconds(static_cast<std::int64_t>(
-      util::env_u64("H2R_POOL_BREAKER_COOLDOWN_MS",
-                    static_cast<std::uint64_t>(config.breaker.cooldown))));
-  config.faults =
-      fault::FaultConfig::uniform(util::env_double("H2R_POOL_FAULT_RATE", 0.0));
-  config.faults.seed = util::env_u64("H2R_POOL_FAULT_SEED", 0xB0015EED);
-  config.faults.max_retries = static_cast<int>(util::env_u64(
-      "H2R_POOL_RETRIES", static_cast<std::uint64_t>(config.faults.max_retries)));
-  config.faults.backoff_base = util::milliseconds(static_cast<std::int64_t>(
-      util::env_u64("H2R_POOL_BACKOFF_MS",
-                    static_cast<std::uint64_t>(config.faults.backoff_base))));
+  config.workers = util::env("H2R_POOL_WORKERS", config.workers);
+  config.visits = util::env("H2R_POOL_VISITS", config.visits);
+  config.site_interval =
+      util::env("H2R_POOL_SITE_INTERVAL_MS", config.site_interval);
+  config.visit_spacing =
+      util::env("H2R_POOL_VISIT_SPACING_MS", config.visit_spacing);
+  config.idle_timeout = util::env("H2R_POOL_IDLE_MS", config.idle_timeout);
+  config.key_idle_cap = util::env("H2R_POOL_KEY_CAP", config.key_idle_cap);
+  config.max_streams = util::env("H2R_POOL_MAX_STREAMS", config.max_streams);
+  config.breaker.threshold =
+      util::env("H2R_POOL_BREAKER_THRESHOLD", config.breaker.threshold);
+  config.breaker.cooldown =
+      util::env("H2R_POOL_BREAKER_COOLDOWN_MS", config.breaker.cooldown);
+  config.faults = fault::FaultConfig::from_env();
   return config;
 }
 

@@ -60,8 +60,8 @@ std::string to_string(Architecture arch);
 /// on it (keys never interact).
 inline constexpr std::size_t kSharedPartitions = 8;
 
-/// All pool knobs. Env-tunable via H2R_POOL_* (from_env); defaults are
-/// the bench_pool_reuse operating point that reproduces the
+/// All pool knobs. Env-tunable via H2R_POOL_* and H2R_FAULT_* (from_env);
+/// defaults are the bench_pool_reuse operating point that reproduces the
 /// 99.92%-vs-87% architecture gap.
 struct PoolConfig {
   Architecture arch = Architecture::kShared;
@@ -87,11 +87,10 @@ struct PoolConfig {
   /// rates zero = clean replay, bit-identical to no injection.
   fault::FaultConfig faults;
 
-  /// Reads H2R_POOL_ARCH, H2R_POOL_WORKERS, H2R_POOL_VISITS, H2R_POOL_SITE_INTERVAL_MS,
-  /// H2R_POOL_VISIT_SPACING_MS, H2R_POOL_IDLE_MS, H2R_POOL_KEY_CAP,
-  /// H2R_POOL_MAX_STREAMS, H2R_POOL_BREAKER_THRESHOLD,
-  /// H2R_POOL_BREAKER_COOLDOWN_MS, H2R_POOL_FAULT_RATE,
-  /// H2R_POOL_FAULT_SEED, H2R_POOL_RETRIES, H2R_POOL_BACKOFF_MS.
+  /// Reads the H2R_POOL_* knobs through util/env.hpp and takes `faults`
+  /// from fault::FaultConfig::from_env() (trace collection runs the
+  /// browser fault-free, so the pool owns H2R_FAULT_*); callers pick the
+  /// architecture. A bad value or unknown H2R_* name throws ConfigError.
   static PoolConfig from_env();
 
   /// Compact cache-key string (arch/workers/visits/faults...).

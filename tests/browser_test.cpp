@@ -394,7 +394,7 @@ TEST_F(BrowserTest, ExpiredCertificateMakesSiteUnreachable) {
   // Certificate errors are NOT ignored (paper §4.2.2): the navigation
   // fails and the site counts as unreachable.
   EXPECT_FALSE(page.reachable);
-  EXPECT_GT(page.failed_fetches, 0u);
+  EXPECT_GT(page.failures.failed_fetches, 0u);
 }
 
 TEST_F(BrowserTest, VisitReusesConnectionsAcrossPages) {

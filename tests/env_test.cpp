@@ -1,15 +1,17 @@
-// Pins the typed env-parsing semantics of util/env.hpp: fallback on
-// unset/empty/garbage/overflow/out-of-range values, strict whole-string
-// parsing, minimum clamping. StudyConfig::from_env, FaultConfig::from_env
-// and the bench banners all read their knobs through these helpers, so
-// this is the one place the "invalid env never crashes a study" rule is
-// proven. It also holds README's knob table to the knobs the code reads.
+// Pins the one rule util/env.hpp applies to every H2R_* knob: unset or
+// empty yields the default, anything else parses in full within its
+// row's range or throws util::ConfigError naming the variable and the
+// value; flags parse through their knob's row; an H2R_* name with no row
+// is an error. The tests read real rows of util::kKnobs. It also holds
+// README's knob table to kKnobs and kKnobs to the code.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,142 +24,203 @@ namespace {
 
 using h2r::testing::EnvGuard;
 
-constexpr const char* kVar = "H2R_ENV_TEST_VARIABLE";
+/// `read()` must throw ConfigError naming `name` and quoting `value`.
+void expect_rejected(const std::function<void()>& read,
+                     const std::string& name, const std::string& value) {
+  try {
+    read();
+    ADD_FAILURE() << name << "='" << value << "' was accepted";
+  } catch (const ConfigError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+  }
+}
 
 TEST(EnvU64, UnsetAndEmptyFallBack) {
   {
-    EnvGuard guard(kVar, nullptr);
-    EXPECT_EQ(env_u64(kVar, 42), 42u);
+    EnvGuard guard("H2R_HIST_BUDGET", nullptr);
+    EXPECT_EQ(env("H2R_HIST_BUDGET", std::uint32_t{42}), 42u);
   }
   {
-    EnvGuard guard(kVar, "");
-    EXPECT_EQ(env_u64(kVar, 42), 42u);
+    EnvGuard guard("H2R_HIST_BUDGET", "");
+    EXPECT_EQ(env("H2R_HIST_BUDGET", std::uint32_t{42}), 42u);
   }
 }
 
 TEST(EnvU64, ParsesPlainDecimals) {
-  EnvGuard guard(kVar, "12345");
-  EXPECT_EQ(env_u64(kVar, 1), 12345u);
+  EnvGuard guard("H2R_HIST_BUDGET", "12345");
+  EXPECT_EQ(env("H2R_HIST_BUDGET", std::uint32_t{1}), 12345u);
 }
 
 TEST(EnvU64, RejectsGarbageAndPartialParses) {
-  const char* bad[] = {"abc", "12abc", "-4", "+2", " 7", "7 ", "0x10", ""};
-  for (const char* value : bad) {
-    EnvGuard guard(kVar, value);
-    EXPECT_EQ(env_u64(kVar, 9), 9u) << "value: '" << value << "'";
+  for (const char* value : {"abc", "12abc", "-4", "+2", " 7", "7 ", "0x10"}) {
+    EnvGuard guard("H2R_HIST_BUDGET", value);
+    expect_rejected(
+        [] { (void)env("H2R_HIST_BUDGET", std::uint32_t{9}); },
+        "H2R_HIST_BUDGET", value);
   }
 }
 
 TEST(EnvU64, RejectsOverflow) {
-  // One past UINT64_MAX; strtoull saturates with ERANGE -> fallback.
-  EnvGuard guard(kVar, "18446744073709551616");
-  EXPECT_EQ(env_u64(kVar, 7), 7u);
+  // One past UINT64_MAX.
+  EnvGuard guard("H2R_FAULT_SEED", "18446744073709551616");
+  expect_rejected([] { (void)env("H2R_FAULT_SEED", std::uint64_t{7}); },
+                  "H2R_FAULT_SEED", "18446744073709551616");
 }
 
 TEST(EnvU64, AcceptsExactlyUint64Max) {
-  EnvGuard guard(kVar, "18446744073709551615");
-  EXPECT_EQ(env_u64(kVar, 7), 18446744073709551615ull);
+  EnvGuard guard("H2R_FAULT_SEED", "18446744073709551615");
+  EXPECT_EQ(env("H2R_FAULT_SEED", std::uint64_t{7}),
+            18446744073709551615ull);
 }
 
 TEST(EnvU64, EnforcesMinimum) {
   {
-    EnvGuard guard(kVar, "0");
-    EXPECT_EQ(env_u64(kVar, 5, 1), 5u);  // below minimum -> fallback
+    EnvGuard guard("H2R_SEED", "0");  // H2R_SEED's row starts at 1
+    expect_rejected([] { (void)env("H2R_SEED", std::uint64_t{5}); },
+                    "H2R_SEED", "0");
   }
   {
-    EnvGuard guard(kVar, "0");
-    EXPECT_EQ(env_u64(kVar, 5, 0), 0u);  // minimum 0 admits zero
+    EnvGuard guard("H2R_HIST_BUDGET", "0");  // 0 = exact histograms
+    EXPECT_EQ(env("H2R_HIST_BUDGET", std::uint32_t{5}), 0u);
   }
   {
-    EnvGuard guard(kVar, "3");
-    EXPECT_EQ(env_u64(kVar, 5, 4), 5u);
+    EnvGuard guard("H2R_SITE_DEADLINE_MS", "0");  // 0 = no deadline
+    EXPECT_EQ(env("H2R_SITE_DEADLINE_MS", std::int64_t{5}), 0);
+  }
+}
+
+TEST(EnvU64, RejectsValuesTooWideForTheField) {
+  // A row's maximum is the width of the field it feeds: 2^32 + 1 used to
+  // reach a uint32_t stream count as 1.
+  {
+    EnvGuard guard("H2R_POOL_MAX_STREAMS", "4294967295");
+    EXPECT_EQ(env("H2R_POOL_MAX_STREAMS", std::uint32_t{100}),
+              4294967295u);
+  }
+  {
+    EnvGuard guard("H2R_POOL_MAX_STREAMS", "4294967297");
+    expect_rejected(
+        [] { (void)env("H2R_POOL_MAX_STREAMS", std::uint32_t{100}); },
+        "H2R_POOL_MAX_STREAMS", "4294967297");
+  }
+  {
+    EnvGuard guard("H2R_FAULT_RETRIES", "2147483648");  // INT_MAX + 1
+    expect_rejected([] { (void)env("H2R_FAULT_RETRIES", 3); },
+                    "H2R_FAULT_RETRIES", "2147483648");
   }
 }
 
 TEST(ParseU64, AppliesTheEnvRuleToAnyText) {
-  // The CLI's numeric flags share env_u64's whole-string rule.
-  EXPECT_EQ(parse_u64("12345"), 12345u);
-  EXPECT_EQ(parse_u64("0"), 0u);
-  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  // Flags and subcommand counts share the variables' whole-string rule.
+  EXPECT_EQ(parse_count("site-count", "12345"), 12345u);
+  EXPECT_EQ(parse_count("site-count", "0", 0), 0u);
+  EXPECT_EQ(parse_count("site-count", "18446744073709551615"),
+            18446744073709551615ull);
   const char* bad[] = {"abc", "12abc", "-4", "+2", " 7", "7 ", "0x10", "",
-                       "18446744073709551616"};
+                       "18446744073709551616", "0"};
   for (const char* value : bad) {
-    EXPECT_FALSE(parse_u64(value).has_value()) << "value: '" << value << "'";
+    expect_rejected([value] { (void)parse_count("site-count", value); },
+                    "site-count", value);
   }
+}
+
+TEST(ParseFlag, FlagsParseThroughTheirKnobsRow) {
+  // `--hist-budget 0` means what H2R_HIST_BUDGET=0 means; errors name
+  // the flag.
+  EXPECT_EQ(parse_flag<std::uint32_t>("H2R_HIST_BUDGET", "--hist-budget", "0"),
+            0u);
+  expect_rejected(
+      [] {
+        (void)parse_flag<std::uint32_t>("H2R_HIST_BUDGET", "--hist-budget",
+                                        "4294967296");
+      },
+      "--hist-budget", "4294967296");
+  expect_rejected(
+      [] {
+        (void)parse_flag<std::size_t>("H2R_ALEXA_SITES", "--sites", "0");
+      },
+      "--sites", "0");
 }
 
 TEST(EnvDouble, ParsesInRangeValues) {
   {
-    EnvGuard guard(kVar, "0.25");
-    EXPECT_DOUBLE_EQ(env_double(kVar, 0.0), 0.25);
+    EnvGuard guard("H2R_FAULT_RATE", "0.25");
+    EXPECT_DOUBLE_EQ(env("H2R_FAULT_RATE", 0.0), 0.25);
   }
   {
-    EnvGuard guard(kVar, "1");
-    EXPECT_DOUBLE_EQ(env_double(kVar, 0.0), 1.0);
+    EnvGuard guard("H2R_FAULT_RATE", "1");
+    EXPECT_DOUBLE_EQ(env("H2R_FAULT_RATE", 0.0), 1.0);
   }
   {
-    EnvGuard guard(kVar, "0");
-    EXPECT_DOUBLE_EQ(env_double(kVar, 0.5), 0.0);
+    EnvGuard guard("H2R_FAULT_RATE", "0");
+    EXPECT_DOUBLE_EQ(env("H2R_FAULT_RATE", 0.5), 0.0);
+  }
+  {
+    EnvGuard guard("H2R_FAULT_RATE", "");
+    EXPECT_DOUBLE_EQ(env("H2R_FAULT_RATE", 0.125), 0.125);
   }
 }
 
 TEST(EnvDouble, RejectsOutOfRangeGarbageAndNan) {
-  const char* bad[] = {"1.5", "-0.1", "chaos", "0.5x", "nan", "inf", ""};
-  for (const char* value : bad) {
-    EnvGuard guard(kVar, value);
-    EXPECT_DOUBLE_EQ(env_double(kVar, 0.125), 0.125)
-        << "value: '" << value << "'";
-  }
-}
-
-TEST(EnvDouble, HonorsCustomRange) {
-  {
-    EnvGuard guard(kVar, "250");
-    EXPECT_DOUBLE_EQ(env_double(kVar, 1.0, 0.0, 1000.0), 250.0);
-  }
-  {
-    EnvGuard guard(kVar, "1001");
-    EXPECT_DOUBLE_EQ(env_double(kVar, 1.0, 0.0, 1000.0), 1.0);
+  for (const char* value : {"1.5", "-0.1", "chaos", "0.5x", "nan", "inf"}) {
+    EnvGuard guard("H2R_FAULT_RATE", value);
+    expect_rejected([] { (void)env("H2R_FAULT_RATE", 0.125); },
+                    "H2R_FAULT_RATE", value);
   }
 }
 
 TEST(EnvFlag, UnsetEmptyAndZeroAreFalse) {
-  {
-    EnvGuard guard(kVar, nullptr);
-    EXPECT_FALSE(env_flag(kVar));
-  }
-  {
-    EnvGuard guard(kVar, "");
-    EXPECT_FALSE(env_flag(kVar));
-  }
-  {
-    EnvGuard guard(kVar, "0");
-    EXPECT_FALSE(env_flag(kVar));
+  for (const char* value : {static_cast<const char*>(nullptr), "", "0"}) {
+    EnvGuard guard("H2R_RESUME", value);
+    EXPECT_FALSE(env("H2R_RESUME", false));
   }
 }
 
 TEST(EnvFlag, AnythingElseIsTrue) {
   const char* truthy[] = {"1", "yes", "true", "00", "no"};
   for (const char* value : truthy) {
-    EnvGuard guard(kVar, value);
-    EXPECT_TRUE(env_flag(kVar)) << "value: '" << value << "'";
+    EnvGuard guard("H2R_RESUME", value);
+    EXPECT_TRUE(env("H2R_RESUME", false)) << "value: '" << value << "'";
   }
 }
 
 TEST(EnvString, FallsBackWhenUnsetOrEmpty) {
   {
-    EnvGuard guard(kVar, nullptr);
-    EXPECT_EQ(env_string(kVar, "dflt"), "dflt");
-    EXPECT_EQ(env_string(kVar), "");
+    EnvGuard guard("H2R_JOURNAL", nullptr);
+    EXPECT_EQ(env("H2R_JOURNAL", std::string("dflt")), "dflt");
+    EXPECT_EQ(env("H2R_JOURNAL", std::string{}), "");
   }
   {
-    EnvGuard guard(kVar, "");
-    EXPECT_EQ(env_string(kVar, "dflt"), "dflt");
+    EnvGuard guard("H2R_JOURNAL", "");
+    EXPECT_EQ(env("H2R_JOURNAL", std::string("dflt")), "dflt");
   }
   {
-    EnvGuard guard(kVar, "/tmp/x.json");
-    EXPECT_EQ(env_string(kVar, "dflt"), "/tmp/x.json");
+    EnvGuard guard("H2R_JOURNAL", "/tmp/x.json");
+    EXPECT_EQ(env("H2R_JOURNAL", std::string("dflt")), "/tmp/x.json");
   }
+}
+
+TEST(EnvString, ChoiceAcceptsOnlyItsWords) {
+  for (const char* value : {"exact", "endless", "immediate"}) {
+    EnvGuard guard("H2R_POLICY_DURATION", value);
+    EXPECT_EQ(env("H2R_POLICY_DURATION", std::string("exact")), value);
+  }
+  for (const char* value : {"forever", "Exact", "exac", "exact|endless"}) {
+    EnvGuard guard("H2R_POLICY_DURATION", value);
+    expect_rejected(
+        [] { (void)env("H2R_POLICY_DURATION", std::string("exact")); },
+        "H2R_POLICY_DURATION", value);
+  }
+}
+
+TEST(UnknownEnv, NameWithNoRowIsAnError) {
+  EXPECT_NO_THROW(reject_unknown_env());
+  // Spelled in two literals so the scan below does not count it as a knob.
+  const std::string typo = std::string("H2R_") + "THREDS";
+  EnvGuard guard(typo.c_str(), "4");
+  expect_rejected([] { reject_unknown_env(); }, typo, "4");
 }
 
 // ---------------------------------------------------- README knob table
@@ -170,15 +233,18 @@ std::string read_file(const std::filesystem::path& path) {
 }
 
 /// Every string literal that is exactly an `H2R_…` name, in the .cpp and
-/// .hpp files under the repo-relative `dirs`.
+/// .hpp files under the repo-relative `dirs`, outside the table itself.
 std::set<std::string> knob_literals(std::initializer_list<const char*> dirs) {
+  const std::filesystem::path table =
+      std::filesystem::path(H2R_REPO_ROOT) / "src" / "util" / "env.hpp";
   std::set<std::string> names;
   for (const char* dir : dirs) {
     for (const auto& entry : std::filesystem::recursive_directory_iterator(
              std::filesystem::path(H2R_REPO_ROOT) / dir)) {
       const auto extension = entry.path().extension();
       if (!entry.is_regular_file() ||
-          (extension != ".cpp" && extension != ".hpp")) {
+          (extension != ".cpp" && extension != ".hpp") ||
+          std::filesystem::equivalent(entry.path(), table)) {
         continue;
       }
       const std::string text = read_file(entry.path());
@@ -226,12 +292,25 @@ std::set<std::string> readme_knobs() {
   return names;
 }
 
+std::set<std::string> table_knobs() {
+  std::set<std::string> names;
+  for (const Knob& knob : kKnobs) names.emplace(knob.name);
+  return names;
+}
+
+TEST(KnobTable, ReadmeListsExactlyTheTable) {
+  const std::set<std::string> table = table_knobs();
+  EXPECT_EQ(table.size(), std::size(kKnobs)) << "a name has two rows";
+  EXPECT_EQ(readme_knobs(), table);
+}
+
 TEST(KnobTable, EveryKnobTheCodeReadsHasAReadmeRow) {
-  const std::set<std::string> table = readme_knobs();
-  ASSERT_FALSE(table.empty()) << "README.md has no knob table";
-  for (const std::string& name : knob_literals({"src", "tools", "bench"})) {
+  // README lists exactly the table (above), so a row is a README row.
+  const std::set<std::string> table = table_knobs();
+  for (const std::string& name :
+       knob_literals({"src", "tools", "bench", "tests"})) {
     EXPECT_EQ(table.count(name), 1u)
-        << name << " has no row in README's knob table";
+        << name << " has no row in util::kKnobs (and README's knob table)";
   }
 }
 
@@ -241,7 +320,7 @@ TEST(KnobTable, EveryReadmeRowNamesAKnobTheCodeReads) {
   for (const std::string& name : readme_knobs()) {
     EXPECT_EQ(code.count(name), 1u)
         << "README's knob table lists " << name
-        << ", which no source file names";
+        << ", which no reader outside the table names";
   }
 }
 

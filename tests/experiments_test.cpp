@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "experiments/perf_model.hpp"
 #include "experiments/study.hpp"
+#include "util/env.hpp"
 
 namespace h2r::experiments {
 namespace {
@@ -125,9 +127,9 @@ TEST(StudyConfigTest, EnvOverrides) {
 }
 
 TEST(StudyConfigTest, ThreadsEnvIsValidatedAndClamped) {
-  // Regression: H2R_THREADS used to be trusted verbatim; garbage, zero,
-  // negative and absurd values must now fall back / clamp to
-  // hardware_concurrency so a bad env can't spawn 10k workers.
+  // Garbage, zero, negative and too-wide values are errors that name the
+  // variable; an absurd but valid count clamps to the machine's
+  // concurrency so a big request can't spawn 10k workers.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned fallback = StudyConfig{}.threads;
   auto threads_for = [](const char* value) {
@@ -136,24 +138,22 @@ TEST(StudyConfigTest, ThreadsEnvIsValidatedAndClamped) {
     unsetenv("H2R_THREADS");
     return threads;
   };
-  EXPECT_EQ(threads_for("0"), fallback);
-  EXPECT_EQ(threads_for("-4"), fallback);
-  EXPECT_EQ(threads_for("abc"), fallback);
+  for (const char* bad : {"0", "-4", "abc", "4294967297"}) {
+    setenv("H2R_THREADS", bad, 1);
+    try {
+      (void)StudyConfig::from_env();
+      ADD_FAILURE() << "H2R_THREADS='" << bad << "' was accepted";
+    } catch (const util::ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("H2R_THREADS"),
+                std::string::npos)
+          << error.what();
+    }
+    unsetenv("H2R_THREADS");
+  }
   EXPECT_EQ(threads_for(""), fallback);
   EXPECT_EQ(threads_for("2"), std::min(2u, hw));
   EXPECT_EQ(threads_for("1000000"), hw);
-  unsetenv("H2R_THREADS");
   EXPECT_EQ(StudyConfig::from_env().threads, fallback);
-}
-
-TEST(SharedStudy, CachesByConfig) {
-  StudyConfig config = tiny_config();
-  config.har_sites = 30;
-  config.alexa_sites = 20;
-  config.har_first_rank = 10;
-  const StudyResults& a = shared_study(config);
-  const StudyResults& b = shared_study(config);
-  EXPECT_EQ(&a, &b);
 }
 
 // ----------------------------------------------------------- perf model

@@ -22,6 +22,7 @@
 #include "fault/fault.hpp"
 #include "json/json.hpp"
 #include "test_env_guard.hpp"
+#include "util/env.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
 #include "web/sitegen.hpp"
@@ -150,17 +151,11 @@ TEST(FaultConfigEnv, ReadsTheChaosKnobs) {
 }
 
 TEST(FaultConfigEnv, RejectsOutOfRangeOrGarbageRates) {
-  {
-    EnvGuard rate("H2R_FAULT_RATE", "1.5");  // probabilities only
-    EXPECT_FALSE(FaultConfig::from_env().enabled());
-  }
-  {
-    EnvGuard rate("H2R_FAULT_RATE", "-0.1");
-    EXPECT_FALSE(FaultConfig::from_env().enabled());
-  }
-  {
-    EnvGuard rate("H2R_FAULT_RATE", "chaos");
-    EXPECT_FALSE(FaultConfig::from_env().enabled());
+  // Probabilities only, parsed in full: each is an error naming the
+  // variable, never a silent fault-free run.
+  for (const char* bad : {"1.5", "-0.1", "chaos", "0.2x"}) {
+    EnvGuard rate("H2R_FAULT_RATE", bad);
+    EXPECT_THROW((void)FaultConfig::from_env(), util::ConfigError) << bad;
   }
 }
 

@@ -1,5 +1,5 @@
 // Trips env.getenv twice: a raw read and a raw write. Config must flow
-// through util::env_u64 and friends instead.
+// through util::env and the knob table instead.
 #include <cstdlib>
 
 const char* threads_knob() { return std::getenv("H2R_THREADS"); }

@@ -25,7 +25,9 @@
 #include "pool/key.hpp"
 #include "pool/pool.hpp"
 #include "pool/replay.hpp"
+#include "test_env_guard.hpp"
 #include "util/clock.hpp"
+#include "util/env.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
 #include "web/sitegen.hpp"
@@ -324,6 +326,29 @@ TEST(PoolChaosTest, ConservationIdentitiesHoldUnderChaos) {
     // The Pingora rule, asserted under 25% chaos: an errored connection
     // is NEVER handed out again.
     EXPECT_EQ(s.dead_handouts, 0u);
+  }
+}
+
+TEST(PoolConfigEnv, TakesTheFaultKnobsAndRejectsTooWideValues) {
+  // The pool's chaos replay is driven by the same H2R_FAULT_* knobs as
+  // the study; a stream count too wide for its uint32_t field is an error
+  // instead of a truncated 1.
+  using h2r::testing::EnvGuard;
+  EnvGuard rate("H2R_FAULT_RATE", "0.25");
+  EnvGuard fault_seed("H2R_FAULT_SEED", "77");
+  {
+    EnvGuard streams("H2R_POOL_MAX_STREAMS", "4294967295");
+    const PoolConfig config = PoolConfig::from_env();
+    EXPECT_EQ(config.faults.signature(),
+              fault::FaultConfig::from_env().signature());
+    EXPECT_DOUBLE_EQ(config.faults.rate(fault::FaultKind::kGoaway), 0.25);
+    EXPECT_EQ(config.faults.seed, 77u);
+    EXPECT_EQ(config.max_streams, 4294967295u);
+    EXPECT_EQ(config.arch, Architecture::kShared);
+  }
+  {
+    EnvGuard streams("H2R_POOL_MAX_STREAMS", "4294967297");
+    EXPECT_THROW((void)PoolConfig::from_env(), util::ConfigError);
   }
 }
 

@@ -257,13 +257,14 @@ TEST(StreamingScale, PeakRssStaysWithinBudget) {
   // study over H2R_SCALE_SITES sites must keep the process's VmHWM under
   // H2R_RSS_BUDGET_MB. Run it in isolation — the high-water mark is
   // process-wide, so other tests in the same process inflate it.
-  const std::uint64_t budget_mb = util::env_u64("H2R_RSS_BUDGET_MB", 0, 1);
+  const std::uint64_t budget_mb =
+      util::env("H2R_RSS_BUDGET_MB", std::uint64_t{0});
   if (budget_mb == 0) {
     GTEST_SKIP() << "set H2R_RSS_BUDGET_MB (and optionally H2R_SCALE_SITES) "
                     "to enable the memory gate";
   }
-  const std::size_t scale_sites = static_cast<std::size_t>(
-      util::env_u64("H2R_SCALE_SITES", 100'000, 1));
+  const std::size_t scale_sites =
+      util::env("H2R_SCALE_SITES", std::size_t{100'000});
 
   StudyConfig config;
   config.alexa_sites = scale_sites;

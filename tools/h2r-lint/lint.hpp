@@ -24,7 +24,7 @@
 //                  pool is the sanctioned concurrency substrate)
 //   env.getenv     raw getenv/setenv/unsetenv/putenv outside
 //                  src/util/env.* — config must flow through the strict
-//                  typed parsers (util::env_u64 and friends)
+//                  knob table and its reader (util::env)
 //   order.unordered  std::unordered_{map,set,multimap,multiset} declared
 //                  in a translation unit that also serializes or merges
 //                  (to_json / merge( / operator==): iteration order is

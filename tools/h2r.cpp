@@ -1,7 +1,7 @@
 // h2r — the command-line front end of the library.
 //
 //   h2r audit <page.har> [--json]  audit a HAR file for redundant conns
-//   h2r study [--threads N]      run the full two-population study
+//   h2r study                     run the full two-population study
 //   h2r crawl <config.json> <landing-domain> [resources...]
 //                                 build an ecosystem from JSON, load a page
 //                                 against it and audit the result
@@ -19,14 +19,14 @@
 //
 // Everything the subcommands do is plain library API — the tool exists so
 // operators can audit a deployment without writing C++.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <optional>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "browser/crawl.hpp"
@@ -66,32 +66,23 @@ int usage() {
                "  h2r dns-overlap <config.json> <domain-a> <domain-b>\n"
                "  h2r snapshot <out.json> [site-count]\n"
                "  h2r analyze <dataset.json>\n"
-               "\nstudy scale: H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_SEED / "
-               "H2R_THREADS\n"
-               "chaos mode:  H2R_FAULT_RATE (0..1) / H2R_FAULT_SEED / "
-               "H2R_FAULT_RETRIES / H2R_FAULT_BACKOFF_MS\n"
-               "durability:  H2R_JOURNAL (or --journal) / H2R_RESUME (or "
-               "--resume) / H2R_SITE_DEADLINE_MS\n"
-               "metrics:     H2R_METRICS (or --metrics) — write the "
-               "deterministic metric snapshot as JSON\n"
-               "scale:       H2R_HIST_BUDGET (or --hist-budget) — cap every "
-               "duration histogram at <n> bins\n"
-               "optimize:    H2R_POLICY_DURATION (endless|immediate|exact) / "
-               "H2R_POLICY_ORIGIN_FRAME / H2R_POLICY_SYNC_DNS /\n"
-               "             H2R_POLICY_CERT_CONSOLIDATION / "
-               "H2R_POLICY_IGNORE_CREDENTIALS — restrict the swept knobs\n");
+               "\nenvironment (README's knob table; a malformed, out-of-range "
+               "or unknown H2R_* value exits 2):");
+  for (std::size_t i = 0; i < std::size(util::kKnobs); ++i) {
+    const std::string_view name = util::kKnobs[i].name;
+    std::fprintf(stderr, "%s%.*s", i % 3 == 0 ? "\n  " : " / ",
+                 static_cast<int>(name.size()), name.data());
+  }
+  std::fprintf(stderr, "\n");
   return 2;
 }
 
-/// A numeric flag value under env_u64's whole-string rule; nullopt, after
-/// naming the flag on stderr, when it is malformed or below `minimum`.
-std::optional<std::uint64_t> flag_u64(const char* flag, const char* text,
-                                      std::uint64_t minimum) {
-  const auto value = util::parse_u64(text);
-  if (value && *value >= minimum) return value;
-  std::fprintf(stderr, "%s wants an integer >= %llu, got '%s'\n", flag,
-               static_cast<unsigned long long>(minimum), text);
-  return std::nullopt;
+/// Writes `value` as pretty JSON to `path`; false, after naming the path
+/// on stderr, when the file cannot be written.
+bool write_json(const std::string& path, const json::Value& value) {
+  const auto written = json::write_file(path, value, /*pretty=*/true);
+  if (!written) std::fprintf(stderr, "%s\n", written.error().message.c_str());
+  return written.has_value();
 }
 
 util::Expected<std::string> read_file(const char* path) {
@@ -184,10 +175,8 @@ int cmd_study(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       config.metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--hist-budget") == 0 && i + 1 < argc) {
-      const auto budget = flag_u64("--hist-budget", argv[++i], 1);
-      if (!budget) return 2;
-      config.hist_budget = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(*budget, 0xFFFFFFFFull));
+      config.hist_budget = util::parse_flag<std::uint32_t>(
+          "H2R_HIST_BUDGET", "--hist-budget", argv[++i]);
     } else {
       return usage();
     }
@@ -263,26 +252,12 @@ int cmd_study(int argc, char** argv) {
     std::printf("\nmetrics:\n%s", obs::render_table(r.metrics).c_str());
   }
   if (!config.metrics_path.empty()) {
-    std::ofstream out(config.metrics_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", config.metrics_path.c_str());
-      return 1;
-    }
-    json::WriteOptions opts;
-    opts.pretty = true;
-    out << json::write(obs::to_json(r.metrics), opts) << "\n";
+    if (!write_json(config.metrics_path, obs::to_json(r.metrics))) return 1;
     std::printf("wrote metric snapshot to %s\n", config.metrics_path.c_str());
   }
 
   if (json_out != nullptr) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_out);
-      return 1;
-    }
-    json::WriteOptions opts;
-    opts.pretty = true;
-    out << json::write(study_to_json(r), opts) << "\n";
+    if (!write_json(json_out, study_to_json(r))) return 1;
     std::printf("wrote study report to %s\n", json_out);
   }
   return 0;
@@ -293,9 +268,8 @@ int cmd_optimize(int argc, char** argv) {
   const char* json_out = nullptr;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      const auto sites = flag_u64("--sites", argv[++i], 1);
-      if (!sites) return 2;
-      config.sites = static_cast<std::size_t>(*sites);
+      config.sites = util::parse_flag<std::size_t>("H2R_ALEXA_SITES",
+                                                   "--sites", argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else {
@@ -317,14 +291,7 @@ int cmd_optimize(int argc, char** argv) {
   }
   std::printf("%s", optimize::render(r).c_str());
   if (json_out != nullptr) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_out);
-      return 1;
-    }
-    json::WriteOptions opts;
-    opts.pretty = true;
-    out << json::write(optimize::to_json(r), opts) << "\n";
+    if (!write_json(json_out, optimize::to_json(r))) return 1;
     std::printf("\nwrote intervention ranking to %s\n", json_out);
   }
   return 0;
@@ -339,11 +306,7 @@ int cmd_replay(int argc, char** argv) {
   options.threads = study.threads;
   std::size_t sites = study.alexa_sites;
   bool want_shared = true;
-  bool want_worker = true;
-  switch (options.pool.arch) {
-    case pool::Architecture::kShared: want_worker = false; break;
-    case pool::Architecture::kWorker: want_shared = false; break;
-  }
+  bool want_worker = false;
   const char* json_out = nullptr;
   const char* metrics_out = nullptr;
   for (int i = 0; i < argc; ++i) {
@@ -364,9 +327,8 @@ int cmd_replay(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      const auto count = flag_u64("--sites", argv[++i], 1);
-      if (!count) return 2;
-      sites = static_cast<std::size_t>(*count);
+      sites = util::parse_flag<std::size_t>("H2R_ALEXA_SITES", "--sites",
+                                            argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
@@ -406,25 +368,13 @@ int cmd_replay(int argc, char** argv) {
   }
 
   if (metrics_out != nullptr) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out);
+    if (!write_json(metrics_out, json::Value{std::move(metrics_root)})) {
       return 1;
     }
-    json::WriteOptions opts;
-    opts.pretty = true;
-    out << json::write(json::Value{std::move(metrics_root)}, opts) << "\n";
     std::printf("\nwrote metric snapshot to %s\n", metrics_out);
   }
   if (json_out != nullptr) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_out);
-      return 1;
-    }
-    json::WriteOptions opts;
-    opts.pretty = true;
-    out << json::write(json::Value{std::move(json_root)}, opts) << "\n";
+    if (!write_json(json_out, json::Value{std::move(json_root)})) return 1;
     std::printf("\nwrote replay report to %s\n", json_out);
   }
   return 0;
@@ -461,9 +411,9 @@ int cmd_crawl(int argc, char** argv) {
                                   &eco.authority()};
   browser::Browser chrome{eco, resolver, browser::BrowserOptions{}, 1};
   const browser::PageLoadResult page = chrome.load(site, util::days(1));
-  if (page.failed_fetches > 0) {
+  if (page.failures.failed_fetches > 0) {
     std::printf("note: %llu fetches failed (unresolvable or TLS mismatch)\n",
-                static_cast<unsigned long long>(page.failed_fetches));
+                static_cast<unsigned long long>(page.failures.failed_fetches));
   }
   std::printf("%s", core::render(core::audit_site(page.observation)).c_str());
   return 0;
@@ -564,7 +514,7 @@ int cmd_analyze(const char* path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return usage();
   const char* cmd = argv[1];
   if (std::strcmp(cmd, "audit") == 0 && (argc == 3 || argc == 4)) {
@@ -586,13 +536,15 @@ int main(int argc, char** argv) {
     return cmd_dns_overlap(argc - 2, argv + 2);
   }
   if (std::strcmp(cmd, "snapshot") == 0 && (argc == 3 || argc == 4)) {
-    const auto count =
-        argc == 4 ? flag_u64("site-count", argv[3], 1) : std::uint64_t{100};
-    if (!count) return 2;
-    return cmd_snapshot(argv[2], static_cast<std::size_t>(*count));
+    return cmd_snapshot(argv[2],
+                        argc == 4 ? util::parse_count("site-count", argv[3])
+                                  : std::size_t{100});
   }
   if (std::strcmp(cmd, "analyze") == 0 && argc == 3) {
     return cmd_analyze(argv[2]);
   }
   return usage();
+} catch (const util::ConfigError& error) {
+  std::fprintf(stderr, "%s\n", error.what());
+  return 2;
 }
